@@ -125,6 +125,8 @@ def _cmd_verify(args) -> int:
     if not gs.guards:
         print("error: guard file holds no guards", file=sys.stderr)
         return EXIT_INPUT
+    if args.k != gs.k:
+        print(f"note: --k {args.k} overrides the guard file's k={gs.k}", file=sys.stderr)
     gs.k = args.k
     plan = SamplePlan(
         grid_density=args.grid,

@@ -5,6 +5,11 @@ The oracle never looks at placement internals: it samples interior points
 sample with the exact crossing counter, and reports the minimum coverage,
 a histogram, and every violation.  Degenerate sight lines are retried with
 a seeded jitter, then the sample is re-drawn.
+
+Grid and seeded candidates, here and in the lemma checks, are built and
+classified as integers by ``_LatticeSampler``; only the near-feature probes
+and jitter retries, whose steps land on no fixed lattice, use ``Fraction``s
+and ``point_in_polygon``.
 """
 
 from __future__ import annotations
@@ -66,53 +71,51 @@ class CoverageReport:
         return self.min_coverage >= self.target_m and not self.violations
 
 
-def _quantize(x: float) -> Fraction:
-    return Fraction(round(x * _QUANTUM), _QUANTUM)
-
-
-def _grid_points(poly: PolygonWithHoles, density: int) -> list[Point]:
-    if density <= 0:
-        return []
-    x0, y0, x1, y1 = poly.bbox()
-    out = []
-    for i in range(density):
-        fx = Fraction(2 * i + 1, 2 * density)
-        px = x0 + fx * (x1 - x0)
-        for j in range(density):
-            fy = Fraction(2 * j + 1, 2 * density)
-            py = y0 + fy * (y1 - y0)
-            p = Point(coerce_coord(px), coerce_coord(py))
-            if point_in_polygon(p, poly) == INSIDE:
-                out.append(p)
-    return out
-
-
 class _LatticeSampler:
-    """Seeded uniform candidates ``x0 + r/_QUANTUM * (x1 - x0)`` over the
-    polygon's bbox, held as integers on the lattice ``L = s * _QUANTUM``
-    (``s`` clears every coordinate denominator) and classified there by the
-    integer ``point_in_polygon_i``.  Each candidate consumes two ``rng``
-    draws, x first; only accepted candidates become ``Point``s."""
+    """Candidates ``x0 + r/q * (x1 - x0)`` over the polygon's bbox, held as
+    integers on the lattice ``L = s * q`` (``s`` clears every coordinate
+    denominator) and classified there by the integer ``point_in_polygon_i``.
+    ``candidate`` draws r uniformly (two ``rng`` draws, x first); only
+    accepted candidates become ``Point``s."""
 
-    __slots__ = ("scale", "rings", "x0", "y0", "dx", "dy")
+    __slots__ = ("q", "scale", "rings", "x0", "y0", "dx", "dy")
 
-    def __init__(self, poly: PolygonWithHoles):
+    def __init__(self, poly: PolygonWithHoles, q: int = _QUANTUM):
         s = denominator_lcm(poly)
-        self.scale = s * _QUANTUM
+        self.q = q
+        self.scale = s * q
         self.rings = [ring_edges_i(r, self.scale) for r in poly.rings()]
         x0, y0, x1, y1 = poly.bbox()
         self.x0, self.y0 = int(x0 * self.scale), int(y0 * self.scale)
         self.dx, self.dy = int((x1 - x0) * s), int((y1 - y0) * s)
 
+    def candidate(self, rng: random.Random) -> tuple[int, int]:
+        return (
+            self.x0 + round(rng.random() * self.q) * self.dx,
+            self.y0 + round(rng.random() * self.q) * self.dy,
+        )
+
+    def inside(self, ix: int, iy: int) -> bool:
+        return point_in_polygon_i(ix, iy, self.rings) == INSIDE
+
+    def point(self, ix: int, iy: int) -> Point:
+        return Point(coerce_coord(Fraction(ix, self.scale)), coerce_coord(Fraction(iy, self.scale)))
+
     def draw(self, rng: random.Random) -> Point | None:
         """One candidate; the sample if strictly interior, else None."""
-        px = self.x0 + round(rng.random() * _QUANTUM) * self.dx
-        py = self.y0 + round(rng.random() * _QUANTUM) * self.dy
-        if point_in_polygon_i(px, py, self.rings) != INSIDE:
-            return None
-        return Point(
-            coerce_coord(Fraction(px, self.scale)), coerce_coord(Fraction(py, self.scale))
-        )
+        ix, iy = self.candidate(rng)
+        return self.point(ix, iy) if self.inside(ix, iy) else None
+
+
+def _grid_points(poly: PolygonWithHoles, density: int) -> list[Point]:
+    """Cell centres of a density x density grid over the bbox: point (i, j)
+    is ``x0 + (2i+1)/(2 density) * (x1 - x0)``, x-major order."""
+    if density <= 0:
+        return []
+    grid = _LatticeSampler(poly, 2 * density)
+    xs = [grid.x0 + (2 * i + 1) * grid.dx for i in range(density)]
+    ys = [grid.y0 + (2 * j + 1) * grid.dy for j in range(density)]
+    return [grid.point(ix, iy) for ix in xs for iy in ys if grid.inside(ix, iy)]
 
 
 def _random_points(poly: PolygonWithHoles, count: int, rng: random.Random) -> list[Point]:
@@ -359,43 +362,33 @@ def check_merge_crossing_bound(
 ) -> PropertyReport:
     """Merging two adjacent convex pieces exposes at most one two-edge
     obstruction: sampled point pairs inside each union must cross at most 2
-    of the union's own edges."""
+    of the union's own edges.  ``detail["min_pairs"]`` is the fewest pairs
+    accepted for a union; below ``pairs_per_union``, that union ran out of
+    its ``100 * pairs_per_union`` attempts."""
     from .decomposition import decompose, merge
 
     violations = []
     cases = 0
     worst = 0
+    fewest = None
     for pi, poly in enumerate(polys):
         d = decompose(poly, mode)
-        for diag_id in range(len(d.diagonals)):
-            union_piece = None
-            merged = merge(d, diag_id)
-            seg, pa, pb = d.diagonals[diag_id]
-            union_piece = merged.piece_by_id(min(pa, pb))
-            u_ring = union_piece.ring
-            u_poly = PolygonWithHoles(u_ring, validate=False)
+        for diag_id, (_, pa, pb) in enumerate(d.diagonals):
+            union_ring = merge(d, diag_id).piece_by_id(min(pa, pb)).ring
+            u_poly = PolygonWithHoles(union_ring, validate=False)
             u_scene = VisibilityQueryScene(u_poly)
+            lattice = _LatticeSampler(u_poly)
             rng = random.Random(f"{seed}:{pi}:{diag_id}")
             cases += 1
             got = 0
-            x0, y0, x1, y1 = u_ring.bbox()
-            attempts = 0
-            while got < pairs_per_union and attempts < 100 * pairs_per_union:
-                attempts += 1
-                p = Point(
-                    coerce_coord(Fraction(x0) + _quantize(rng.random()) * Fraction(x1 - x0)),
-                    coerce_coord(Fraction(y0) + _quantize(rng.random()) * Fraction(y1 - y0)),
-                )
-                q = Point(
-                    coerce_coord(Fraction(x0) + _quantize(rng.random()) * Fraction(x1 - x0)),
-                    coerce_coord(Fraction(y0) + _quantize(rng.random()) * Fraction(y1 - y0)),
-                )
-                if p == q:
+            for _ in range(100 * pairs_per_union):
+                if got == pairs_per_union:
+                    break
+                ip = lattice.candidate(rng)
+                iq = lattice.candidate(rng)
+                if ip == iq or not lattice.inside(*ip) or not lattice.inside(*iq):
                     continue
-                if point_in_polygon(p, u_poly) != INSIDE:
-                    continue
-                if point_in_polygon(q, u_poly) != INSIDE:
-                    continue
+                p, q = lattice.point(*ip), lattice.point(*iq)
                 try:
                     c = crossing_count(p, q, u_scene)
                 except DegenerateSightlineError:
@@ -404,7 +397,9 @@ def check_merge_crossing_bound(
                 worst = max(worst, c)
                 if c > 2:
                     violations.append((pi, diag_id, p, q, c))
-    return PropertyReport(cases=cases, violations=violations, detail={"max_crossings": worst})
+            fewest = got if fewest is None else min(fewest, got)
+    detail = {"max_crossings": worst, "min_pairs": fewest}
+    return PropertyReport(cases=cases, violations=violations, detail=detail)
 
 
 def check_boundary_guarding(
@@ -414,18 +409,15 @@ def check_boundary_guarding(
     with exactly one boundary crossing."""
     poly = PolygonWithHoles(convex_ring, validate=False)
     scene = VisibilityQueryScene(poly)
+    lattice = _LatticeSampler(poly)
     rng = random.Random(seed)
-    x0, y0, x1, y1 = convex_ring.bbox()
     violations = []
     got = 0
-    attempts = 0
-    while got < samples and attempts < 200 * samples:
-        attempts += 1
-        p = Point(
-            coerce_coord(Fraction(x0) + _quantize(rng.random()) * Fraction(x1 - x0)),
-            coerce_coord(Fraction(y0) + _quantize(rng.random()) * Fraction(y1 - y0)),
-        )
-        if point_in_polygon(p, poly) != INSIDE:
+    for _ in range(200 * samples):
+        if got == samples:
+            break
+        p = lattice.draw(rng)
+        if p is None:
             continue
         try:
             c = crossing_count(g, p, scene)

@@ -117,10 +117,29 @@ def _classifier_probes(poly):
     return probes
 
 
+def _union_and_straight_vertex_polygons():
+    """Union rings from decomposition.merge, which the merge-lemma check
+    classifies against, and a triangle with a straight (pi) vertex on a
+    horizontal and on a slanted edge."""
+    from kvisguard.decomposition import MINIMAL, decompose, merge
+
+    polys = []
+    for spec in (GenSpec("comb", 12, seed=1), GenSpec("monotone", 10, seed=0)):
+        d = decompose(generate(spec), MINIMAL)
+        for diag_id, (_, pa, pb) in enumerate(d.diagonals):
+            union = merge(d, diag_id).piece_by_id(min(pa, pb)).ring
+            polys.append(PolygonWithHoles(union, validate=False))
+    straight = ring([(0, 0), (2, 0), (4, 0), (4, 3), (2, "3/2")], validate=False)
+    assert orientation(straight[0], straight[1], straight[2]) == COLLINEAR
+    assert orientation(straight[3], straight[4], straight[0]) == COLLINEAR
+    polys.append(PolygonWithHoles(straight, validate=False))
+    return polys
+
+
 def test_point_in_polygon_i_agrees_with_point_in_polygon(square_with_hole, l_with_star_hole):
     # The star hole sits on a 1/8 lattice, so the ring scale is not 1.
     assert denominator_lcm(l_with_star_hole) == 8
-    for poly in (square_with_hole, l_with_star_hole):
+    for poly in (square_with_hole, l_with_star_hole, *_union_and_straight_vertex_polygons()):
         probes = _classifier_probes(poly)
         scale = denominator_lcm(poly)
         for p in probes:

@@ -137,6 +137,22 @@ def test_cli_verify_coverage_failure_exit_3(tmp_path, unit_square):
     assert code == 3
 
 
+def test_cli_verify_k_override_noted(tmp_path, capsys, unit_square):
+    poly_p = tmp_path / "square.json"
+    guards_p = tmp_path / "guards.json"
+    poly_p.write_text(write_polygon(unit_square))
+    gs, _ = place_guards(unit_square, 2)
+    guards_p.write_text(write_guards(gs))
+    args = ["verify", "--input", str(poly_p), "--guards", str(guards_p),
+            "--samples", "50", "--grid", "4"]
+    assert run_cli(args + ["--k", "2", "--m", "4"]) == 0
+    assert "overrides" not in capsys.readouterr().err
+    assert run_cli(args + ["--k", "4", "--m", "4"]) == 0
+    assert "note: --k 4 overrides the guard file's k=2" in capsys.readouterr().err
+    # The exit code still follows the coverage at the overriding k.
+    assert run_cli(args + ["--k", "4", "--m", "5"]) == 3
+
+
 def test_cli_place_parse_error_exit_1(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"outer": [[0,0],[1,0]')

@@ -87,6 +87,172 @@ def test_random_samples_match_fraction_reference(l_with_star_hole):
         assert [tuple(map(type, p)) for p in got] == [tuple(map(type, p)) for p in want]
 
 
+def _fraction_reference_grid(poly, density):
+    """The grid written directly on Fractions: cell centres
+    x0 + (2i+1)/(2 density) * (x1 - x0), x-major, kept when
+    point_in_polygon says INSIDE."""
+    x0, y0, x1, y1 = poly.bbox()
+    out = []
+    for i in range(density):
+        px = x0 + Fraction(2 * i + 1, 2 * density) * (x1 - x0)
+        for j in range(density):
+            py = y0 + Fraction(2 * j + 1, 2 * density) * (y1 - y0)
+            p = Point(coerce_coord(px), coerce_coord(py))
+            if point_in_polygon(p, poly) == INSIDE:
+                out.append(p)
+    return out
+
+
+def test_grid_samples_match_fraction_reference(l_with_star_hole):
+    # Density 24 is the placement self-check's grid.
+    comb3 = generate(GenSpec("comb", 12, seed=1))
+    for poly in (l_with_star_hole, comb3):
+        for density in (5, 24):
+            plan = SamplePlan(grid_density=density, random_count=0, near_feature_count=0)
+            got = sample_points(poly, plan)
+            want = _fraction_reference_grid(poly, density)
+            assert got and got == want, density
+            assert [tuple(map(type, p)) for p in got] == [tuple(map(type, p)) for p in want]
+
+
+def _fraction_candidate(rng, bbox):
+    q = 1 << 20
+    x0, y0, x1, y1 = bbox
+    return Point(
+        coerce_coord(Fraction(x0) + Fraction(round(rng.random() * q), q) * Fraction(x1 - x0)),
+        coerce_coord(Fraction(y0) + Fraction(round(rng.random() * q), q) * Fraction(y1 - y0)),
+    )
+
+
+def _fraction_reference_merge_check(polys, pairs_per_union, seed, mode=MINIMAL):
+    """check_merge_crossing_bound with every candidate built and classified
+    on Fractions: p and q are both drawn before either inside test.  Also
+    returns every pair handed to crossing_count, in order."""
+    from kvisguard.decomposition import merge
+    from kvisguard.visibility import DegenerateSightlineError, VisibilityQueryScene, crossing_count
+
+    violations, cases, worst, fewest, queried = [], 0, 0, None, []
+    for pi, poly in enumerate(polys):
+        d = decompose(poly, mode)
+        for diag_id, (_, pa, pb) in enumerate(d.diagonals):
+            u_ring = merge(d, diag_id).piece_by_id(min(pa, pb)).ring
+            u_poly = PolygonWithHoles(u_ring, validate=False)
+            u_scene = VisibilityQueryScene(u_poly)
+            rng = random.Random(f"{seed}:{pi}:{diag_id}")
+            cases += 1
+            got = attempts = 0
+            while got < pairs_per_union and attempts < 100 * pairs_per_union:
+                attempts += 1
+                p = _fraction_candidate(rng, u_ring.bbox())
+                q = _fraction_candidate(rng, u_ring.bbox())
+                if p == q or point_in_polygon(p, u_poly) != INSIDE or point_in_polygon(q, u_poly) != INSIDE:
+                    continue
+                queried.append((p, q))
+                try:
+                    c = crossing_count(p, q, u_scene)
+                except DegenerateSightlineError:
+                    continue
+                got += 1
+                worst = max(worst, c)
+                if c > 2:
+                    violations.append((pi, diag_id, p, q, c))
+            fewest = got if fewest is None else min(fewest, got)
+    return cases, violations, {"max_crossings": worst, "min_pairs": fewest}, queried
+
+
+def _fraction_reference_boundary_check(convex_ring, g, samples, seed):
+    """check_boundary_guarding with every candidate built and classified
+    on Fractions.  Also returns every pair handed to crossing_count."""
+    from kvisguard.visibility import DegenerateSightlineError, VisibilityQueryScene, crossing_count
+
+    poly = PolygonWithHoles(convex_ring, validate=False)
+    scene = VisibilityQueryScene(poly)
+    rng = random.Random(seed)
+    violations, got, attempts, queried = [], 0, 0, []
+    while got < samples and attempts < 200 * samples:
+        attempts += 1
+        p = _fraction_candidate(rng, convex_ring.bbox())
+        if point_in_polygon(p, poly) != INSIDE:
+            continue
+        queried.append((g, p))
+        try:
+            c = crossing_count(g, p, scene)
+        except DegenerateSightlineError:
+            continue
+        got += 1
+        if c != 1:
+            violations.append((p, c))
+    return got, violations, {}, queried
+
+
+def _record_queries(monkeypatch):
+    """Every (a, b) pair verify hands to crossing_count, in order."""
+    import kvisguard.verify as verify_mod
+    from kvisguard.visibility import crossing_count
+
+    queried = []
+
+    def recording(a, b, scene):
+        queried.append((a, b))
+        return crossing_count(a, b, scene)
+
+    monkeypatch.setattr(verify_mod, "crossing_count", recording)
+    return queried
+
+
+def test_merge_check_matches_fraction_reference(monkeypatch, l_hexagon):
+    # Same pairs in the same order, so the same draw order, as the Fraction
+    # check: criterion 4's report depends on it.
+    monotone = [generate(GenSpec("monotone", n, seed=s)) for n, s in ((10, 0), (12, 1))]
+    for polys, pairs, seed in (([l_hexagon], 300, 1), (monotone, 200, 2)):
+        queried = _record_queries(monkeypatch)
+        report = check_merge_crossing_bound(polys, pairs_per_union=pairs, seed=seed)
+        cases, violations, detail, want = _fraction_reference_merge_check(polys, pairs, seed)
+        assert queried == want
+        assert [tuple(map(type, p + q)) for p, q in queried] == [tuple(map(type, p + q)) for p, q in want]
+        assert report.cases == cases > 0
+        assert report.violations == violations
+        assert report.detail == detail
+        assert detail["min_pairs"] == pairs
+
+
+def test_boundary_check_matches_fraction_reference(monkeypatch):
+    from kvisguard.geometry import Ring, convex_hull
+
+    rng = random.Random(5)
+    hulls = []
+    while len(hulls) < 4:
+        hull = convex_hull([pt(rng.randrange(0, 64), rng.randrange(0, 64)) for _ in range(10)])
+        if len(hull) >= 3:
+            hulls.append((Ring(hull), pt(100 + rng.randrange(0, 50), rng.randrange(-50, 120)), 30))
+    # A sliver over about 1% of its bbox, so the attempt cap matters.
+    hulls.append((ring([(0, 0), (100, 99), (99, 100)]), pt(200, 0), 30))
+    # Not convex: some samples behind a tooth are reached through 3 edges.
+    comb3 = generate(GenSpec("comb", 12, seed=1)).outer
+    hulls.append((comb3, pt(-50, -40), 100))
+    for trial, (r, g, samples) in enumerate(hulls):
+        queried = _record_queries(monkeypatch)
+        report = check_boundary_guarding(r, g, samples=samples, seed=trial)
+        cases, violations, detail, want = _fraction_reference_boundary_check(r, g, samples, trial)
+        assert queried == want
+        assert (report.cases, report.violations, report.detail) == (cases, violations, detail)
+    assert report.cases == 100 and report.violations
+
+
+def test_merge_check_reports_capped_union(l_hexagon):
+    # A thin diagonal band with one reflex vertex: one diagonal, and the
+    # union covers about 4% of its bbox, so pairs accepted both inside are
+    # rare and the attempt cap of 100 times the pairs stops the union short.
+    band = PolygonWithHoles(
+        ring([(0, 0), (2, 0), (100, 98), (100, 100), (98, 100), (50, 51), (0, 2)])
+    )
+    report = check_merge_crossing_bound([l_hexagon, band], pairs_per_union=20, seed=0)
+    assert report.cases == 2
+    assert report.ok()
+    assert 0 < report.detail["min_pairs"] < 20
+    assert report.detail == _fraction_reference_merge_check([l_hexagon, band], 20, 0)[2]
+
+
 def test_sample_plan_validation():
     with pytest.raises(ValueError):
         SamplePlan(grid_density=0, random_count=0, near_feature_count=0)
