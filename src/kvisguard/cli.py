@@ -12,7 +12,9 @@ import json
 import sys
 from fractions import Fraction
 
-from .decomposition import FAST, MINIMAL, decompose
+# ``decompose`` is not called here; it stays importable as ``cli.decompose``,
+# which bench/tracer.py wraps.
+from .decomposition import FAST, MINIMAL, decompose  # noqa: F401
 from .fileio import (
     ParseError,
     parse_guards,
@@ -75,12 +77,10 @@ def _cmd_place(args) -> int:
     else:
         sys.stdout.write(out_text)
     if args.svg:
-        mode = args.mode if not poly.holes else FAST
-        try:
-            d = decompose(poly, mode)
-        except InvalidPolygonError:
-            d = None
-        _write(args.svg, render_svg(poly, decomposition=d, guards=gs, trace=trace))
+        _write(
+            args.svg,
+            render_svg(poly, decomposition=trace.decomposition, guards=gs, trace=trace),
+        )
     if args.trace:
         doc = {
             "certified": trace.certified,

@@ -161,6 +161,8 @@ def write_report(report: CoverageReport, samples: int | None = None) -> str:
     }
     if report.guard_bound_ok is not None:
         doc["guard_bound_ok"] = report.guard_bound_ok
+    if report.parallel_fallback is not None:
+        doc["parallel_fallback"] = report.parallel_fallback
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 

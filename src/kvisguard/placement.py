@@ -85,6 +85,9 @@ class PlacementTrace:
     certified: bool = False
     diagnostics: dict = field(default_factory=dict)
     feasible_marks: list[tuple[int, Fraction, Fraction]] = field(default_factory=list)
+    # The decomposition the pipeline guarded (for holed inputs, the outer
+    # ring's), so a rendering shows the pieces the guards were placed for.
+    decomposition: Decomposition | None = None
 
     def relocation_counts(self) -> dict[int, int]:
         counts: dict[int, int] = {}
@@ -198,7 +201,7 @@ class _Pipeline:
         diagnostics: dict = {"warnings": []}
         decomp = self._decompose(diagnostics)
         scene = VisibilityQueryScene(self.poly)
-        trace = PlacementTrace(steps=[], diagnostics=diagnostics)
+        trace = PlacementTrace(steps=[], diagnostics=diagnostics, decomposition=decomp)
         if len(decomp.pieces) == 1:
             guards = self._single_piece(decomp, scene, trace)
         else:
@@ -210,7 +213,7 @@ class _Pipeline:
             target_m=self.k + 2,
             piece_count=len(decomp.pieces),
         )
-        return gs, trace, decomp
+        return gs, trace
 
     # -- setup ------------------------------------------------------------
 
@@ -899,7 +902,7 @@ def place_guards(
     )
     pipeline._root_centroid = _polygon_centroid(poly)
     pipeline._guard_origin = {}
-    gs, trace, decomp = pipeline.run()
+    gs, trace = pipeline.run()
     trace.diagnostics.setdefault("warnings", []).extend(warnings)
     return gs, trace
 
@@ -957,7 +960,9 @@ def guard_with_holes(
     gs = GuardSet(tuple(guards), k=k, target_m=2, piece_count=None)
     plan = SamplePlan(grid_density=24, random_count=400, near_feature_count=2, seed=seed)
     report = coverage(poly, gs, plan)
-    trace = PlacementTrace(steps=base_trace.steps, certified=report.ok())
+    trace = PlacementTrace(
+        steps=base_trace.steps, certified=report.ok(), decomposition=base_trace.decomposition
+    )
     trace.diagnostics = dict(base_trace.diagnostics)
     trace.diagnostics["warnings"] = trace.diagnostics.get("warnings", []) + warnings
     trace.diagnostics["self_check"] = {

@@ -38,6 +38,7 @@ from .visibility import (
     crossing_count,
     crossing_count_h,
     default_epsilon,
+    origin_table,
 )
 
 _QUANTUM = 1 << 20  # sample coordinates snap to this lattice (exact rationals)
@@ -66,6 +67,9 @@ class CoverageReport:
     guard_bound_ok: bool | None
     target_m: int
     degenerate_dropped: int = 0
+    # Why the process pool was given up for the sequential path; None when
+    # it was not asked for (KVIS_THREADS unset or 1) or it ran.
+    parallel_fallback: str | None = None
 
     def ok(self) -> bool:
         return self.min_coverage >= self.target_m and not self.violations
@@ -206,10 +210,11 @@ def _count_visible(
     sample_h, guards_h, edges_i, k: int, count_endpoint_edges: bool
 ) -> int | None:
     """Visible-guard count for one homogenized sample; None on degeneracy."""
+    table = origin_table(sample_h, edges_i)
     n = 0
     for g_h in guards_h:
         try:
-            if crossing_count_h(sample_h, g_h, edges_i, count_endpoint_edges) <= k:
+            if crossing_count_h(sample_h, g_h, table, count_endpoint_edges) <= k:
                 n += 1
         except DegenerateSightlineError:
             return None
@@ -264,7 +269,8 @@ def coverage(
         return None
 
     threads = _threads()
-    counts: list[int | None]
+    counts: list[int | None] | None = None
+    fallback = None
     if threads > 1 and len(samples) >= 256:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -276,16 +282,14 @@ def coverage(
         try:
             with ProcessPoolExecutor(max_workers=threads) as ex:
                 results = list(ex.map(_coverage_chunk, args))
-            counts = [None] * len(samples)
+            merged: list[int | None] = [None] * len(samples)
             for t, res in enumerate(results):
                 for w, val in enumerate(res):
-                    counts[t + w * threads] = val
-        except Exception:
-            counts = [
-                _count_visible(scene.homogenize(s), guards_h, edges_i, k, cee)
-                for s in samples
-            ]
-    else:
+                    merged[t + w * threads] = val
+            counts = merged
+        except Exception as e:  # noqa: BLE001 - recorded in the report
+            fallback = f"{type(e).__name__}: {e}"
+    if counts is None:
         counts = [
             _count_visible(scene.homogenize(s), guards_h, edges_i, k, cee)
             for s in samples
@@ -335,6 +339,7 @@ def coverage(
         guard_bound_ok=bound_ok,
         target_m=m,
         degenerate_dropped=dropped,
+        parallel_fallback=fallback,
     )
 
 

@@ -7,6 +7,13 @@ are DEGENERATE: the caller perturbs and retries (the verifier does this
 automatically).  All counting is exact; scene edges are pre-scaled to
 integers and query points are homogenized to integer (nx, ny, d) triples so
 the hot loop is pure int arithmetic.
+
+Work that does not depend on the far endpoint is done once.  The crossing
+kernel reads a per-origin edge table (``origin_table``): every edge's
+endpoints relative to the origin p, so a query from p to q only forms the
+two orientations that involve q.  A scene keeps each region's nudged
+boundary probes and their homogenized triples (``_region_probes``), so the
+strong-visibility checks of many guards against one region build them once.
 """
 
 from __future__ import annotations
@@ -62,7 +69,7 @@ class VisibilityQueryScene:
     Default is the non-counting convention.
     """
 
-    __slots__ = ("polygon", "obstacle_edges", "count_endpoint_edges", "scale", "_edges_i")
+    __slots__ = ("polygon", "obstacle_edges", "count_endpoint_edges", "scale", "_edges_i", "_probes")
 
     def __init__(self, polygon: PolygonWithHoles, count_endpoint_edges: bool = False):
         self.polygon = polygon
@@ -70,6 +77,8 @@ class VisibilityQueryScene:
         self.count_endpoint_edges = count_endpoint_edges
         self.scale = denominator_lcm(polygon)
         self._edges_i = [e for r in polygon.rings() for e in ring_edges_i(r, self.scale)]
+        # (region, n_samples, epsilon) -> (rel, centroid, [(probe, probe_h)])
+        self._probes: dict = {}
 
     def homogenize(self, p: Point) -> tuple[int, int, int]:
         """Integer (nx, ny, d) with p*scale == (nx/d, ny/d)."""
@@ -80,22 +89,29 @@ class VisibilityQueryScene:
         return int(sx * d), int(sy * d), d
 
 
-def _sign(v: int) -> int:
-    if v > 0:
-        return 1
-    if v < 0:
-        return -1
-    return 0
+def origin_table(
+    p_h: tuple[int, int, int], edges_i: Sequence[tuple[int, int, int, int]]
+) -> list[tuple[int, ...]]:
+    """Per-origin rows for ``crossing_count_h``: each integer edge
+    (ax, ay, bx, by) followed by A - p and B - p, cleared of p's
+    denominator."""
+    pnx, pny, pd = p_h
+    return [
+        (ax, ay, bx, by, ax * pd - pnx, ay * pd - pny, bx * pd - pnx, by * pd - pny)
+        for ax, ay, bx, by in edges_i
+    ]
 
 
 def crossing_count_h(
     p_h: tuple[int, int, int],
     q_h: tuple[int, int, int],
-    edges_i: Sequence[tuple[int, int, int, int]],
+    table: Sequence[tuple[int, ...]],
     count_endpoint_edges: bool = False,
 ) -> int:
     """Exact number of edges whose open interior transversally crosses the
-    open segment pq, on homogenized integer points.  Raises on degeneracy."""
+    open segment pq, on homogenized integer points; ``table`` is
+    ``origin_table(p_h, edges)``.  Raises on degeneracy, at the first
+    degenerate edge in index order."""
     pnx, pny, pd = p_h
     qnx, qny, qd = q_h
     # Direction of pq, cleared of denominators: (qx - px) * pd*qd.
@@ -104,18 +120,17 @@ def crossing_count_h(
     if ux == 0 and uy == 0:
         raise ValueError("crossing_count requires two distinct points")
     count = 0
-    for idx, (ax, ay, bx, by) in enumerate(edges_i):
+    for idx, (ax, ay, bx, by, apx, apy, bpx, bpy) in enumerate(table):
         # orient(P, Q, A) and orient(P, Q, B), scaled by positive factors.
-        apx = ax * pd - pnx
-        apy = ay * pd - pny
         oa = ux * apy - uy * apx
-        bpx = bx * pd - pnx
-        bpy = by * pd - pny
         ob = ux * bpy - uy * bpx
-        sa, sb = _sign(oa), _sign(ob)
-        if sa != 0 and sa == sb:
-            continue  # both edge endpoints strictly on one side
-        if sa == 0 and sb == 0:
+        if oa > 0:
+            if ob > 0:
+                continue  # both edge endpoints strictly on one side
+        elif oa < 0:
+            if ob < 0:
+                continue
+        elif ob == 0:
             # Edge collinear with the sight line: overlap is degenerate,
             # single-point touch or disjoint contributes nothing.
             if _collinear_overlap(p_h, q_h, ax, ay, bx, by):
@@ -123,25 +138,24 @@ def crossing_count_h(
                     f"sight segment collinear-overlaps edge {idx}", idx
                 )
             continue
-        if sa == 0:
+        else:
             _vertex_on_open_segment_check(p_h, q_h, ax, ay, idx)
             continue
-        if sb == 0:
+        if ob == 0:
             _vertex_on_open_segment_check(p_h, q_h, bx, by, idx)
             continue
         # Edge endpoints straddle line(pq); side of P and Q against line(AB).
         ex = bx - ax
         ey = by - ay
-        op = ex * (pny - ay * pd) - ey * (pnx - ax * pd)
+        op = ey * apx - ex * apy
         oq = ex * (qny - ay * qd) - ey * (qnx - ax * qd)
-        sp, sq = _sign(op), _sign(oq)
-        if sp == 0 or sq == 0:
-            # A query endpoint lies on this edge (interior, since sa*sb<0):
-            # endpoint incidence, not a crossing.
+        if op == 0 or oq == 0:
+            # A query endpoint lies on this edge (interior, since the edge
+            # straddles line(pq)): endpoint incidence, not a crossing.
             if count_endpoint_edges:
                 count += 1
             continue
-        if sp != sq:
+        if (op > 0) != (oq > 0):
             count += 1
     return count
 
@@ -193,10 +207,11 @@ def crossing_count(p: Point, q: Point, scene: VisibilityQueryScene) -> int:
     """
     if p == q:
         raise ValueError("crossing_count requires two distinct points")
+    p_h = scene.homogenize(p)
     return crossing_count_h(
-        scene.homogenize(p),
+        p_h,
         scene.homogenize(q),
-        scene._edges_i,
+        origin_table(p_h, scene._edges_i),
         scene.count_endpoint_edges,
     )
 
@@ -243,6 +258,22 @@ def region_boundary_samples(
     return samples
 
 
+def _region_probes(
+    scene: VisibilityQueryScene, region: Ring, n_samples: int, epsilon: Fraction | None
+) -> tuple[Fraction, Point, list[tuple[Point, tuple[int, int, int]]]]:
+    """``region``'s relative nudge, centroid and nudged boundary samples,
+    each with its homogenized triple; built once per scene and key."""
+    key = (region, n_samples, epsilon)
+    probes = scene._probes.get(key)
+    if probes is None:
+        eps = epsilon if epsilon is not None else default_epsilon(scene)
+        rel = _relative_nudge(region, eps)
+        samples = region_boundary_samples(region, n_samples, rel)
+        probes = (rel, region.centroid(), [(s, scene.homogenize(s)) for s in samples])
+        scene._probes[key] = probes
+    return probes
+
+
 def strongly_k_sees_region(
     p: Point,
     region: Ring,
@@ -254,23 +285,22 @@ def strongly_k_sees_region(
     """Sampled strong k-visibility: p must k-see every boundary sample of
     ``region``.  Degenerate samples are re-perturbed up to 8 times, then
     counted as failures."""
-    eps = epsilon if epsilon is not None else default_epsilon(scene)
-    rel = _relative_nudge(region, eps)
-    centroid = region.centroid()
-    for s in region_boundary_samples(region, n_samples, rel):
-        ok = False
-        attempt = s
+    rel, centroid, probes = _region_probes(scene, region, n_samples, epsilon)
+    p_h = scene.homogenize(p)
+    table = origin_table(p_h, scene._edges_i)
+    cee = scene.count_endpoint_edges
+    for s, s_h in probes:
+        attempt_h = s_h
         for retry in range(9):
-            if attempt == p:
-                ok = True
+            if attempt_h == p_h:
                 break
             try:
-                if crossing_count(p, attempt, scene) <= k:
-                    ok = True
+                if crossing_count_h(p_h, attempt_h, table, cee) > k:
+                    return False
                 break
             except DegenerateSightlineError:
-                attempt = _toward(s, centroid, rel * (retry + 2))
-        if not ok:
+                attempt_h = scene.homogenize(_toward(s, centroid, rel * (retry + 2)))
+        else:
             return False
     return True
 

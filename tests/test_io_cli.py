@@ -230,3 +230,39 @@ def test_cli_place_deterministic_outputs(tmp_path):
         ]) == 0
         outs.append((g.read_bytes(), s.read_bytes()))
     assert outs[0] == outs[1]
+
+
+def test_cli_place_svg_draws_the_guarded_decomposition(tmp_path, monkeypatch, l_with_star_hole):
+    # A holed input is guarded on its outer ring's decomposition; the SVG
+    # draws that one, and place decomposes once in all.
+    import kvisguard.cli as cli_mod
+    import kvisguard.placement as placement_mod
+    from kvisguard.decomposition import MINIMAL, decompose
+    from kvisguard.geometry import PolygonWithHoles
+    from kvisguard.svg import _f
+
+    calls = []
+
+    def counted(poly, mode):
+        calls.append(mode)
+        return decompose(poly, mode)
+
+    monkeypatch.setattr(placement_mod, "decompose", counted)
+    monkeypatch.setattr(cli_mod, "decompose", counted)
+    poly_p = tmp_path / "holed.json"
+    svg_p = tmp_path / "out.svg"
+    poly_p.write_text(write_polygon(l_with_star_hole))
+    assert run_cli([
+        "place", "--input", str(poly_p), "--k", "2",
+        "--out", str(tmp_path / "g.json"), "--svg", str(svg_p),
+    ]) == 0
+    assert calls == [MINIMAL]
+    outer = decompose(PolygonWithHoles(l_with_star_hole.outer, (), validate=False), MINIMAL)
+    root = ET.fromstring(svg_p.read_text())
+    drawn = [
+        ((e.get("x1"), e.get("y1")), (e.get("x2"), e.get("y2")))
+        for e in root.iter() if e.get("class") == "diagonal"
+    ]
+    assert drawn == [
+        ((_f(s.a.x), _f(s.a.y)), (_f(s.b.x), _f(s.b.y))) for s, _, _ in outer.diagonals
+    ]

@@ -401,3 +401,42 @@ def test_threads_env_fallback(monkeypatch, unit_square):
     plan = SamplePlan(grid_density=6, random_count=20, near_feature_count=1, seed=0)
     report = coverage(unit_square, square_guards(), plan)
     assert report.min_coverage == 4
+
+
+def test_coverage_process_pool_matches_sequential(monkeypatch, l_hexagon):
+    # Two workers over at least 256 samples: the pool really runs (no
+    # fallback) and gives the sequential path's counts, sample by sample.
+    from kvisguard.fileio import write_report
+
+    gs, _ = place_guards(l_hexagon, 2)
+    plan = SamplePlan(grid_density=16, random_count=200, near_feature_count=1, seed=4)
+    assert len(sample_points(l_hexagon, plan)) >= 256
+    monkeypatch.delenv("KVIS_THREADS", raising=False)
+    seq = coverage(l_hexagon, gs, plan)
+    monkeypatch.setenv("KVIS_THREADS", "2")
+    par = coverage(l_hexagon, gs, plan)
+    assert seq.parallel_fallback is None and par.parallel_fallback is None
+    assert par.per_sample == seq.per_sample
+    assert write_report(par) == write_report(seq)
+
+
+def test_coverage_process_pool_fallback_is_reported(monkeypatch, l_hexagon):
+    import concurrent.futures
+
+    from kvisguard.fileio import write_report
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise OSError("no worker processes")
+
+    gs, _ = place_guards(l_hexagon, 2)
+    plan = SamplePlan(grid_density=16, random_count=200, near_feature_count=1, seed=4)
+    monkeypatch.delenv("KVIS_THREADS", raising=False)
+    seq = coverage(l_hexagon, gs, plan)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setenv("KVIS_THREADS", "2")
+    fell_back = coverage(l_hexagon, gs, plan)
+    assert fell_back.parallel_fallback == "OSError: no worker processes"
+    assert fell_back.per_sample == seq.per_sample
+    assert '"parallel_fallback":"OSError: no worker processes"' in write_report(fell_back)
+    assert "parallel_fallback" not in write_report(seq)

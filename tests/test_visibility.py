@@ -215,3 +215,147 @@ def test_strong_interval_members_recheck(acceptance_corpus):
                 if iv.t_lo <= t <= iv.t_hi:
                     p = scene.obstacle_edges[edge_idx].point_at(t)
                     assert strongly_k_sees_region(p, region, 2, scene, 6)
+
+
+def _sign(v: int) -> int:
+    return (v > 0) - (v < 0)
+
+
+def _reference_crossing_count_h(p_h, q_h, edges_i, count_endpoint_edges=False):
+    """The crossing kernel as it was before the per-origin edge table: every
+    term recomputed per query from the raw integer edges."""
+    from kvisguard.visibility import _collinear_overlap, _vertex_on_open_segment_check
+
+    pnx, pny, pd = p_h
+    qnx, qny, qd = q_h
+    ux = qnx * pd - pnx * qd
+    uy = qny * pd - pny * qd
+    if ux == 0 and uy == 0:
+        raise ValueError("crossing_count requires two distinct points")
+    count = 0
+    for idx, (ax, ay, bx, by) in enumerate(edges_i):
+        apx = ax * pd - pnx
+        apy = ay * pd - pny
+        oa = ux * apy - uy * apx
+        bpx = bx * pd - pnx
+        bpy = by * pd - pny
+        ob = ux * bpy - uy * bpx
+        sa, sb = _sign(oa), _sign(ob)
+        if sa != 0 and sa == sb:
+            continue
+        if sa == 0 and sb == 0:
+            if _collinear_overlap(p_h, q_h, ax, ay, bx, by):
+                raise DegenerateSightlineError(
+                    f"sight segment collinear-overlaps edge {idx}", idx
+                )
+            continue
+        if sa == 0:
+            _vertex_on_open_segment_check(p_h, q_h, ax, ay, idx)
+            continue
+        if sb == 0:
+            _vertex_on_open_segment_check(p_h, q_h, bx, by, idx)
+            continue
+        ex = bx - ax
+        ey = by - ay
+        op = ex * (pny - ay * pd) - ey * (pnx - ax * pd)
+        oq = ex * (qny - ay * qd) - ey * (qnx - ax * qd)
+        sp, sq = _sign(op), _sign(oq)
+        if sp == 0 or sq == 0:
+            if count_endpoint_edges:
+                count += 1
+            continue
+        if sp != sq:
+            count += 1
+    return count
+
+
+def _kernel_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DegenerateSightlineError as e:
+        return (type(e), e.edge_index, str(e))
+
+
+def test_crossing_kernel_matches_reference(acceptance_corpus, square_with_hole, l_with_star_hole):
+    # Every ordered pair of vertices, edge midpoints and edge quarter-points:
+    # collinear overlaps, vertex grazes and endpoints on edge interiors all
+    # occur, and the first degenerate edge in index order must be the one
+    # reported.
+    from kvisguard.visibility import crossing_count_h, origin_table
+
+    polys = [dict(acceptance_corpus)["comb3"], square_with_hole, l_with_star_hole]
+    seen = {"overlap": 0, "graze": 0, "endpoint_edge": 0, "counted": 0}
+    for poly in polys:
+        pts = []
+        for e in poly.edges():
+            for t in (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
+                p = e.point_at(t)
+                if p not in pts:
+                    pts.append(p)
+        for cee in (False, True):
+            scene = VisibilityQueryScene(poly, count_endpoint_edges=cee)
+            hs = [scene.homogenize(p) for p in pts]
+            for p_h in hs:
+                table = origin_table(p_h, scene._edges_i)
+                for q_h in hs:
+                    if q_h == p_h:
+                        continue
+                    want = _kernel_outcome(_reference_crossing_count_h, p_h, q_h, scene._edges_i, cee)
+                    got = _kernel_outcome(crossing_count_h, p_h, q_h, table, cee)
+                    assert got == want, (p_h, q_h, cee)
+                    if isinstance(want, tuple):
+                        seen["overlap" if "collinear" in want[2] else "graze"] += 1
+                    elif cee and want != _reference_crossing_count_h(p_h, q_h, scene._edges_i):
+                        seen["endpoint_edge"] += 1
+                    seen["counted"] += not isinstance(want, tuple)
+    assert all(v > 0 for v in seen.values()), seen
+
+
+def test_region_probes_shared_scene_matches_fresh(square_with_hole, monkeypatch):
+    # One scene reused across calls (its region probes built once per
+    # region, n_samples and epsilon) answers as a fresh scene per call.
+    import kvisguard.visibility as vis
+
+    poly = square_with_hole
+    raised = []
+    kernel = vis.crossing_count_h
+
+    def counting(*args):
+        try:
+            return kernel(*args)
+        except DegenerateSightlineError:
+            raised.append(args[1])
+            raise
+
+    monkeypatch.setattr(vis, "crossing_count_h", counting)
+    # Reaches into the hole by 1/8: a tiny nudge leaves probes in the hole
+    # (one crossing), epsilon 1/2 pulls them all out of it.
+    near_hole = ring([("1/2", 1), ("33/8", 1), ("33/8", 5), ("1/2", 5)])
+    top_right = ring([(7, 7), (9, 7), (9, 9), (7, 9)])
+    lower = ring([(1, 1), (9, 1), (9, 3), (1, 3)])
+    # A probe of top_right's bottom edge and the hole corner (6, 6) fix a
+    # sight line; p on its extension makes that probe degenerate.
+    rel = vis._relative_nudge(top_right, vis.default_epsilon(VisibilityQueryScene(poly)))
+    s = Point(8, 7 + rel)
+    graze = Point(6 + 3 * (6 - s.x), 6 + 3 * (6 - s.y))
+    cases = [
+        (near_hole, pt(1, "9/2"), 0),
+        (near_hole, pt(1, "9/2"), 1),
+        (top_right, graze, 2),
+        (top_right, pt(1, 9), 0),
+        (lower, pt(5, 9), 2),
+        (lower, pt(5, 9), 1),
+    ]
+    shared = VisibilityQueryScene(poly)
+    answers = {}
+    for region, p, k in cases:
+        for eps in (None, Fraction(1, 2)):
+            for n in (3, 5):
+                want = strongly_k_sees_region(p, region, k, VisibilityQueryScene(poly), n, eps)
+                got = strongly_k_sees_region(p, region, k, shared, n, eps)
+                assert got == want, (region, p, k, eps, n)
+                answers[(region, p, k, eps, n)] = got
+    assert not answers[(near_hole, pt(1, "9/2"), 0, None, 3)]
+    assert answers[(near_hole, pt(1, "9/2"), 0, Fraction(1, 2), 3)]
+    assert shared.homogenize(s) in raised  # the degenerate-retry path ran
+    assert len(shared._probes) == 3 * 2 * 2
