@@ -451,6 +451,7 @@ def _minimal_partition(ring_pts: Sequence[Point]) -> list[list[int]]:
 
     # Root the recursion at polygon edge (n-1, 0): region = whole polygon.
     total = f(0, n - 1)
+    del f  # f and collect each refer to themselves: drop the cycles here
     if total >= INF:
         raise InvalidPolygonError("minimal decomposition failed")
 
@@ -465,6 +466,7 @@ def _minimal_partition(ring_pts: Sequence[Point]) -> list[list[int]]:
             collect(chain[t], chain[t + 1])
 
     collect(0, n - 1)
+    del collect
     return pieces
 
 

@@ -2,14 +2,15 @@
 
 The oracle never looks at placement internals: it samples interior points
 (grid, seeded-uniform, and near-feature), counts k-visible guards per
-sample with the exact crossing counter, and reports the minimum coverage,
-a histogram, and every violation.  Degenerate sight lines are retried with
-a seeded jitter, then the sample is re-drawn.
+sample through one ``WedgeIndex`` per guard (exact, with the crossing
+kernel as its fallback), and reports the minimum coverage, a histogram, and
+every violation.  Degenerate sight lines are retried with a seeded jitter,
+then the sample is re-drawn.
 
 Grid and seeded candidates, here and in the lemma checks, are built and
-classified as integers by ``_LatticeSampler``; only the near-feature probes
-and jitter retries, whose steps land on no fixed lattice, use ``Fraction``s
-and ``point_in_polygon``.
+classified as integers by ``_LatticeSampler``; the near-feature probes of
+one feature share a lattice too and are classified there.  Only the jitter
+retries use ``Fraction``s and ``point_in_polygon``.
 """
 
 from __future__ import annotations
@@ -36,10 +37,12 @@ from .visibility import (
     DegenerateSightlineError,
     VisibilityQueryScene,
     crossing_count,
-    crossing_count_h,
     default_epsilon,
-    origin_table,
+    wedge_indexes,
 )
+# ``crossing_count_h`` is not called here; it stays importable as
+# ``verify.crossing_count_h``, which bench/tracer.py wraps.
+from .visibility import crossing_count_h  # noqa: F401
 
 _QUANTUM = 1 << 20  # sample coordinates snap to this lattice (exact rationals)
 
@@ -141,6 +144,10 @@ def _near_feature_points(
 ) -> list[Point]:
     if per_feature <= 0:
         return []
+    # Probe origins and targets lie on the 1/(2s) lattice, s clearing every
+    # vertex denominator; the rings are kept at that scale as integers.
+    s2 = 2 * denominator_lcm(poly)
+    rings = [ring_edges_i(r, s2) for r in poly.rings()]
     out = []
     for ring_ in poly.rings():
         n = len(ring_)
@@ -154,19 +161,26 @@ def _near_feature_points(
                 coerce_coord(Fraction(prev.x + b.x, 2)),
                 coerce_coord(Fraction(prev.y + b.y, 2)),
             )
-            out.extend(_probe_toward(poly, a, mid, per_feature, eps))
+            out.extend(_probe_toward(rings, s2, a, mid, per_feature, eps))
             # Edge-midpoint probe along the inward normal.
             em = Segment(a, b).midpoint()
             nx = -(b.y - a.y) * interior_sign
             ny = (b.x - a.x) * interior_sign
             target = Point(coerce_coord(em.x + nx), coerce_coord(em.y + ny))
-            out.extend(_probe_toward(poly, em, target, per_feature, eps))
+            out.extend(_probe_toward(rings, s2, em, target, per_feature, eps))
     return out
 
 
-def _probe_toward(poly, origin: Point, target: Point, count: int, eps: Fraction):
+def _probe_toward(rings, s2: int, origin: Point, target: Point, count: int, eps: Fraction):
     """Points roughly eps, 2*eps, ... inside the polygon from ``origin``
-    along (or against) the direction to ``target``; misses are dropped."""
+    along (or against) the direction to ``target``; misses are dropped.
+    ``rings`` are the polygon's integer edges at scale ``s2``, which puts
+    ``origin`` and ``target`` on the integer lattice.
+
+    The step ``unit`` comes from a float norm: it only spaces the probes
+    and decides no predicate.  Every probe ``origin + j*unit*(target -
+    origin)`` is an integer point at scale ``s2 * unit.denominator``,
+    classified there by ``point_in_polygon_i``."""
     if origin == target:
         return []
     dx = float(target.x - origin.x)
@@ -175,16 +189,19 @@ def _probe_toward(poly, origin: Point, target: Point, count: int, eps: Fraction)
     if norm == 0:
         return []
     unit = Fraction(float(eps) / norm).limit_denominator(10**12)
+    f = unit.denominator
+    scale = s2 * f
+    if f > 1:
+        rings = [[(ax * f, ay * f, bx * f, by * f) for ax, ay, bx, by in r] for r in rings]
+    ox, oy = int(origin.x * scale), int(origin.y * scale)
+    stx = unit.numerator * int((target.x - origin.x) * s2)
+    sty = unit.numerator * int((target.y - origin.y) * s2)
     out = []
-    for j in range(count):
-        for sign in (1, -1):
-            delta = sign * unit * (j + 1)
-            p = Point(
-                coerce_coord(origin.x + delta * (target.x - origin.x)),
-                coerce_coord(origin.y + delta * (target.y - origin.y)),
-            )
-            if point_in_polygon(p, poly) == INSIDE:
-                out.append(p)
+    for j in range(1, count + 1):
+        for step in (j, -j):
+            ix, iy = ox + step * stx, oy + step * sty
+            if point_in_polygon_i(ix, iy, rings) == INSIDE:
+                out.append(Point(coerce_coord(Fraction(ix, scale)), coerce_coord(Fraction(iy, scale))))
                 break
     return out
 
@@ -206,24 +223,19 @@ def _threads() -> int:
         return 1
 
 
-def _count_visible(
-    sample_h, guards_h, edges_i, k: int, count_endpoint_edges: bool
-) -> int | None:
-    """Visible-guard count for one homogenized sample; None on degeneracy."""
-    table = origin_table(sample_h, edges_i)
-    n = 0
-    for g_h in guards_h:
-        try:
-            if crossing_count_h(sample_h, g_h, table, count_endpoint_edges) <= k:
-                n += 1
-        except DegenerateSightlineError:
-            return None
-    return n
+def _count_visible(sample_h, indexes, k: int) -> int | None:
+    """Guards whose ``WedgeIndex`` counts at most k crossings to one
+    homogenized sample; None on degeneracy."""
+    try:
+        return sum(1 for index in indexes if index.count(sample_h) <= k)
+    except DegenerateSightlineError:
+        return None
 
 
 def _coverage_chunk(args):
     samples_h, guards_h, edges_i, k, cee = args
-    return [_count_visible(s, guards_h, edges_i, k, cee) for s in samples_h]
+    indexes = wedge_indexes(edges_i, guards_h, cee)
+    return [_count_visible(s, indexes, k) for s in samples_h]
 
 
 def coverage(
@@ -250,6 +262,7 @@ def coverage(
     guards_h = [scene.homogenize(g.position) for g in guards.guards]
     edges_i = scene._edges_i
     cee = scene.count_endpoint_edges
+    indexes = wedge_indexes(edges_i, guards_h, cee)
 
     def jittered(p: Point, rng: random.Random) -> Point:
         jx = Fraction(round((rng.random() * 2 - 1) * _QUANTUM), _QUANTUM)
@@ -290,10 +303,7 @@ def coverage(
         except Exception as e:  # noqa: BLE001 - recorded in the report
             fallback = f"{type(e).__name__}: {e}"
     if counts is None:
-        counts = [
-            _count_visible(scene.homogenize(s), guards_h, edges_i, k, cee)
-            for s in samples
-        ]
+        counts = [_count_visible(scene.homogenize(s), indexes, k) for s in samples]
 
     per_sample: list[tuple[Point, int]] = []
     dropped = 0
@@ -306,14 +316,14 @@ def coverage(
                 attempt = jittered(s, rng)
                 if point_in_polygon(attempt, poly) != INSIDE:
                     continue
-                c2 = _count_visible(scene.homogenize(attempt), guards_h, edges_i, k, cee)
+                c2 = _count_visible(scene.homogenize(attempt), indexes, k)
                 if c2 is not None:
                     fixed = (attempt, c2)
                     break
             if fixed is None:
                 repl = redraw()
                 if repl is not None:
-                    c3 = _count_visible(scene.homogenize(repl), guards_h, edges_i, k, cee)
+                    c3 = _count_visible(scene.homogenize(repl), indexes, k)
                     if c3 is not None:
                         fixed = (repl, c3)
             if fixed is None:

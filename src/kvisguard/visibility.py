@@ -14,11 +14,17 @@ endpoints relative to the origin p, so a query from p to q only forms the
 two orientations that involve q.  A scene keeps each region's nudged
 boundary probes and their homogenized triples (``_region_probes``), so the
 strong-visibility checks of many guards against one region build them once.
+
+Many queries from one guard go through its ``WedgeIndex``: the scene sorted
+by angle around the guard, so a count is two bisections on ints, with the
+kernel as the exact fallback for every query the index cannot decide
+strictly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from math import lcm
 from typing import NamedTuple, Sequence
 
@@ -219,6 +225,181 @@ def crossing_count(p: Point, q: Point, scene: VisibilityQueryScene) -> int:
 def k_visible(p: Point, q: Point, k: int, scene: VisibilityQueryScene) -> bool:
     """True iff the open segment pq crosses at most k obstacle edges."""
     return crossing_count(p, q, scene) <= k
+
+
+class WedgeScene:
+    """What every guard's ``WedgeIndex`` shares: the scene's integer edges
+    (for the kernel fallback), its distinct vertices, each edge's two
+    vertex ids, and each edge in both orientations as a line
+    ``(ex, ey, c)``: code 2i is edge i from A to B, code 2i + 1 from B to
+    A, and ``ex*qy - ey*qx - c*qd`` is the sign of orient(from, to, q)
+    for a homogenized q."""
+
+    __slots__ = ("edges_i", "vertices", "ends", "lines")
+
+    def __init__(self, edges_i: Sequence[tuple[int, int, int, int]]):
+        self.edges_i = edges_i
+        ids: dict[tuple[int, int], int] = {}
+        self.ends = []
+        self.lines = []
+        for ax, ay, bx, by in edges_i:
+            self.ends.append((ids.setdefault((ax, ay), len(ids)), ids.setdefault((bx, by), len(ids))))
+            ex, ey = bx - ax, by - ay
+            c = ex * ay - ey * ax
+            self.lines += [(ex, ey, c), (-ex, -ey, -c)]
+        self.vertices = list(ids)
+
+
+def _small_ints(values: list[int]):
+    return bytes(values) if all(v < 256 for v in values) else tuple(values)
+
+
+class WedgeIndex:
+    """The scene sorted around one guard g, for exact crossing counts from g.
+
+    Rays are the distinct directions from g to the scene vertices, in
+    angular order (upper half-plane first, then by cross product).  A
+    wedge is the open angle from one ray to the next; no vertex lies
+    inside it, so the edges spanning it never meet there and keep one
+    order by distance from g.  Each wedge lists them near to far, every
+    edge oriented with g on its left, so a query q in the wedge crosses
+    exactly the edges it lies strictly right of, a prefix of the list.
+    Edges incident to g or seen edge-on are left out; an edge whose
+    interior holds g adds one under ``count_endpoint_edges``.
+
+    ``count`` finds q's wedge and its prefix by two bisections.  A query
+    the index cannot decide strictly (q equal to g, q on a ray, q on the
+    line of a probed edge) goes to ``crossing_count_h`` from g's side;
+    the open segment's count and degeneracy are symmetric in its
+    endpoints, so the answer, or the ``DegenerateSightlineError``, is the
+    kernel's.  Only small ids are kept per guard: ray vertex ids and
+    per-wedge edge codes (``WedgeScene``)."""
+
+    __slots__ = ("scene", "g_h", "count_endpoint_edges", "rays", "split", "wedges", "host", "_table")
+
+    def __init__(self, scene: WedgeScene, g_h: tuple[int, int, int], count_endpoint_edges: bool = False):
+        self.scene = scene
+        self.g_h = g_h
+        self.count_endpoint_edges = count_endpoint_edges
+        self._table = None
+        gx, gy, gd = g_h
+        rel = [(vx * gd - gx, vy * gd - gy) for vx, vy in scene.vertices]
+
+        def before(i: int, j: int) -> int:
+            (ix, iy), (jx, jy) = rel[i], rel[j]
+            return jx * iy - jy * ix  # < 0 when i comes first
+
+        upper, lower = [], []
+        for v, (rx, ry) in enumerate(rel):
+            if ry > 0 or (ry == 0 and rx > 0):
+                upper.append(v)
+            elif rx or ry:
+                lower.append(v)
+        rays: list[int] = []
+        ray_of = {}
+        for half in (upper, lower):
+            half.sort(key=cmp_to_key(before))
+            start = len(rays)
+            for v in half:
+                # Within a half-plane, a zero cross product means one direction.
+                if len(rays) == start or before(rays[-1], v):
+                    rays.append(v)
+                ray_of[v] = len(rays) - 1
+            if half is upper:
+                self.split = len(rays)
+
+        n_rays = len(rays)
+        spanning: list[list[int]] = [[] for _ in range(n_rays)]
+        key: dict[int, int] = {}  # code -> cross(from - g, to - g) > 0, times gd^2
+        host = 0
+        for i, (ia, ib) in enumerate(scene.ends):
+            (ax, ay), (bx, by) = rel[ia], rel[ib]
+            if not (ax or ay) or not (bx or by):
+                continue  # incident to g
+            cr = ax * by - ay * bx
+            if cr == 0:
+                host += ax * bx + ay * by < 0  # else edge-on
+                continue
+            if cr > 0:
+                code, first, last = 2 * i, ray_of[ia], ray_of[ib]
+            else:
+                code, first, last = 2 * i + 1, ray_of[ib], ray_of[ia]
+            key[code] = abs(cr)
+            w = first
+            while w != last:
+                spanning[w].append(code)
+                w = (w + 1) % n_rays
+        self.host = host if count_endpoint_edges else 0
+
+        # d = ray w + ray w+1 points into the wedge, which is less than pi
+        # wide when an edge spans it.  Along d, the oriented edge (from, to)
+        # is hit at t = key / cross(d, to - from), up to one positive factor
+        # shared by every edge, so near to far is by t.
+        lines = scene.lines
+        wedges = []
+        for w, codes in enumerate(spanning):
+            if len(codes) > 1:
+                (ax, ay), (bx, by) = rel[rays[w]], rel[rays[(w + 1) % n_rays]]
+                dx, dy = ax + bx, ay + by
+                den = {c: dx * lines[c][1] - dy * lines[c][0] for c in codes}
+                codes.sort(key=cmp_to_key(lambda c1, c2: key[c1] * den[c2] - key[c2] * den[c1]))
+            wedges.append(_small_ints(codes))
+        self.rays = _small_ints(rays)
+        self.wedges = wedges
+
+    def count(self, q_h: tuple[int, int, int]) -> int:
+        """``crossing_count_h`` from g to q, under the index's convention."""
+        gx, gy, gd = self.g_h
+        qx, qy, qd = q_h
+        ux = qx * gd - gx * qd
+        uy = qy * gd - gy * qd
+        if uy > 0 or (uy == 0 and ux > 0):
+            lo, hi = 0, self.split
+        elif ux or uy:
+            lo, hi = self.split, len(self.rays)
+        else:
+            return self._fallback(q_h)
+        vertices, rays = self.scene.vertices, self.rays
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            vx, vy = vertices[rays[mid]]
+            o = (vx * gd - gx) * uy - (vy * gd - gy) * ux
+            if o > 0:
+                lo = mid + 1
+            elif o < 0:
+                hi = mid
+            else:
+                return self._fallback(q_h)
+        wedge = self.wedges[lo - 1]
+        lines = self.scene.lines
+        lo, hi = 0, len(wedge)
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            ex, ey, c = lines[wedge[mid]]
+            o = ex * qy - ey * qx - c * qd
+            if o < 0:
+                lo = mid + 1
+            elif o > 0:
+                hi = mid
+            else:
+                return self._fallback(q_h)
+        # When lo < len(wedge), edge lo was probed and q is strictly before it.
+        return lo + self.host
+
+    def _fallback(self, q_h: tuple[int, int, int]) -> int:
+        if self._table is None:
+            self._table = origin_table(self.g_h, self.scene.edges_i)
+        return crossing_count_h(self.g_h, q_h, self._table, self.count_endpoint_edges)
+
+
+def wedge_indexes(
+    edges_i: Sequence[tuple[int, int, int, int]],
+    guards_h: Sequence[tuple[int, int, int]],
+    count_endpoint_edges: bool = False,
+) -> list[WedgeIndex]:
+    """One ``WedgeIndex`` per guard over one shared ``WedgeScene``."""
+    scene = WedgeScene(edges_i)
+    return [WedgeIndex(scene, g_h, count_endpoint_edges) for g_h in guards_h]
 
 
 def _toward(p: Point, target: Point, delta: Fraction) -> Point:

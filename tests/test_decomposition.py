@@ -238,3 +238,19 @@ def test_random_monotone_minimal_at_most_fast():
         dm = decompose(poly, MINIMAL)
         df = decompose(poly, FAST)
         assert len(dm.pieces) <= len(df.pieces) <= 2 * len(dm.pieces)
+
+
+def test_minimal_decompose_leaves_no_garbage():
+    # The MINIMAL DP's tables are freed on return, not left in a reference
+    # cycle for the collector.
+    import gc
+
+    polys = [generate(GenSpec("comb", 12, seed=1)), generate(GenSpec("staircase", 45))]
+    gc.collect()
+    gc.disable()
+    try:
+        for poly in polys:
+            decompose(poly, MINIMAL)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

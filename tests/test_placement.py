@@ -263,3 +263,17 @@ def test_trace_merge_replay(acceptance_corpus):
             cur = merge(cur, diag_id)
         assert len(cur.pieces) == 1, name
         assert sorted(cur.pieces[0].ring.vertices) == sorted(poly.outer.vertices), name
+
+
+def test_relocation_pipeline_monotone():
+    # The acceptance corpus never relocates; this polygon moves 8 guards
+    # off diagonals onto real edges, once each, and still self-checks.
+    poly = generate(GenSpec("monotone", 40, seed=1))
+    gs, trace = place_guards(poly, 2)
+    assert trace.certified
+    relocated = [g for g in gs.guards if g.role == "relocated"]
+    assert len(relocated) == 8
+    assert all(g.host_kind == REAL for g in relocated)
+    counts = trace.relocation_counts()
+    assert len(counts) == 8 and all(v == 1 for v in counts.values())
+    assert not trace.diagnostics.get("relocation_failures")

@@ -115,6 +115,50 @@ def test_grid_samples_match_fraction_reference(l_with_star_hole):
             assert [tuple(map(type, p)) for p in got] == [tuple(map(type, p)) for p in want]
 
 
+def _fraction_reference_near_feature(poly, per_feature):
+    """Near-feature probes written directly on Fractions: from each vertex
+    toward its neighbours' midpoint, and from each edge midpoint along the
+    inward normal, the first of +-unit*j inside (j = 1..per_feature) by
+    point_in_polygon."""
+    eps = Fraction(poly.bbox_diag()).limit_denominator(10**9) / 10**6
+
+    def probe(origin, target):
+        if origin == target:
+            return []
+        dx, dy = float(target.x - origin.x), float(target.y - origin.y)
+        unit = Fraction(float(eps) / (dx * dx + dy * dy) ** 0.5).limit_denominator(10**12)
+        for j in range(1, per_feature + 1):
+            for delta in (unit * j, -unit * j):
+                p = Point(
+                    coerce_coord(origin.x + delta * (target.x - origin.x)),
+                    coerce_coord(origin.y + delta * (target.y - origin.y)),
+                )
+                if point_in_polygon(p, poly) == INSIDE:
+                    yield p
+                    break
+
+    out = []
+    for r in poly.rings():
+        for i in range(len(r)):
+            a, b, prev = r[i], r[i + 1], r[i - 1]
+            out += probe(a, Point(coerce_coord(Fraction(prev.x + b.x, 2)), coerce_coord(Fraction(prev.y + b.y, 2))))
+            em = Point(coerce_coord(Fraction(a.x + b.x, 2)), coerce_coord(Fraction(a.y + b.y, 2)))
+            out += probe(em, Point(coerce_coord(em.x - (b.y - a.y)), coerce_coord(em.y + (b.x - a.x))))
+    return out
+
+
+def test_near_feature_samples_match_fraction_reference(l_with_star_hole, square_with_hole):
+    # 8 probes per feature is verify's default, 2 the self-check's.
+    comb3 = generate(GenSpec("comb", 12, seed=1))
+    for poly in (l_with_star_hole, square_with_hole, comb3):
+        for per_feature in (8, 2):
+            plan = SamplePlan(grid_density=0, random_count=0, near_feature_count=per_feature)
+            got = sample_points(poly, plan)
+            want = _fraction_reference_near_feature(poly, per_feature)
+            assert got and got == want, per_feature
+            assert [tuple(map(type, p)) for p in got] == [tuple(map(type, p)) for p in want]
+
+
 def _fraction_candidate(rng, bbox):
     q = 1 << 20
     x0, y0, x1, y1 = bbox

@@ -359,3 +359,76 @@ def test_region_probes_shared_scene_matches_fresh(square_with_hole, monkeypatch)
     assert answers[(near_hole, pt(1, "9/2"), 0, Fraction(1, 2), 3)]
     assert shared.homogenize(s) in raised  # the degenerate-retry path ran
     assert len(shared._probes) == 3 * 2 * 2
+
+
+def _query_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DegenerateSightlineError as e:
+        return (DegenerateSightlineError, e.edge_index)
+    except ValueError:
+        return ValueError
+
+
+def test_wedge_index_matches_kernel(acceptance_corpus, square_with_hole, l_with_star_hole, monkeypatch):
+    # Guards at every vertex, edge midpoint and edge quarter-point; queries
+    # at those points and on a half-unit interior grid.  The index must
+    # give the kernel's count, or its exception and edge_index, under both
+    # conventions, and its fallback must reach the module's kernel.
+    import kvisguard.visibility as vis
+    from kvisguard.geometry import INSIDE, point_in_polygon
+
+    kernel = vis.crossing_count_h
+    fallbacks = []
+
+    def recording(p_h, q_h, table, cee):
+        fallbacks.append((p_h, q_h))
+        return kernel(p_h, q_h, table, cee)
+
+    monkeypatch.setattr(vis, "crossing_count_h", recording)
+    polys = [dict(acceptance_corpus)["comb3"], square_with_hole, l_with_star_hole]
+    seen = {"vertex_ray": 0, "on_edge": 0, "host_edge": 0, "raise": 0}
+    for poly in polys:
+        guards = []
+        for e in poly.edges():
+            for t in (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
+                p = e.point_at(t)
+                if p not in guards:
+                    guards.append(p)
+        x0, y0, x1, y1 = poly.bbox()
+        grid = [
+            pt(Fraction(i, 2), Fraction(j, 2))
+            for i in range(int(2 * x0), int(2 * x1) + 1)
+            for j in range(int(2 * y0), int(2 * y1) + 1)
+        ]
+        queries = guards + [q for q in grid if point_in_polygon(q, poly) == INSIDE]
+        scene = VisibilityQueryScene(poly)
+        vertices = vis.WedgeScene(scene._edges_i).vertices
+        gs_h = [scene.homogenize(g) for g in guards]
+        qs_h = [scene.homogenize(q) for q in queries]
+        plain = dict(zip(gs_h, vis.wedge_indexes(scene._edges_i, gs_h)))
+        for cee in (False, True):
+            for g_h, index in zip(gs_h, vis.wedge_indexes(scene._edges_i, gs_h, cee)):
+                table = vis.origin_table(g_h, scene._edges_i)
+                for q_h in qs_h:
+                    del fallbacks[:]
+                    got = _query_outcome(index.count, q_h)
+                    want = _query_outcome(kernel, g_h, q_h, table, cee)
+                    assert got == want, (g_h, q_h, cee)
+                    if isinstance(want, tuple):
+                        seen["raise"] += 1
+                    if not fallbacks:
+                        if cee and want != plain[g_h].count(q_h):
+                            seen["host_edge"] += 1
+                        continue
+                    assert fallbacks == [(g_h, q_h)]
+                    gx, gy, gd = g_h
+                    qx, qy, qd = q_h
+                    ux, uy = qx * gd - gx * qd, qy * gd - gy * qd
+                    on_ray = any(
+                        (vx * gd - gx) * uy == (vy * gd - gy) * ux
+                        and (vx * gd - gx) * ux + (vy * gd - gy) * uy > 0
+                        for vx, vy in vertices
+                    )
+                    seen["vertex_ray" if on_ray else "on_edge"] += 1
+    assert all(v > 0 for v in seen.values()), seen
