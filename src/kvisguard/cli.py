@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="polygon file (JSON)")
     p.add_argument("--k", type=int, required=True, help="visibility parameter (even)")
     p.add_argument("--mode", choices=[MINIMAL, FAST], default=MINIMAL)
-    p.add_argument("--epsilon", type=float, default=None, help="nudge distance")
+    p.add_argument("--epsilon", type=float, default=None, help="shift of each guard along its host edge")
     p.add_argument("--out", help="guard file destination (default stdout)")
     p.add_argument("--svg", help="write an SVG rendering here")
     p.add_argument("--trace", help="write the placement trace here")

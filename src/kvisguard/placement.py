@@ -4,12 +4,13 @@ with holes.
 
 Placement follows the decomposition's dual tree from the leftmost ear.
 Each piece receives two guards: one inside a feasible region aimed at its
-parent piece across the shared diagonal (pocket sweep first, sampled
-strong-visibility search as fallback), one aimed at its first child or at
-the best-scoring free real edge.  Every guard is nudged along its host
-edge away from the root.  A sampling self-check then tops up undercovered
-pieces within the max(kC, k+2) budget and certifies the result; an
-uncertified placement is returned with diagnostics, never silently.
+parent piece across the shared diagonal (pocket sweep first, then sampled
+host-edge positions tested by exact strong visibility), one aimed at its
+first child or at the best-scoring free real edge.  Every guard is nudged
+along its host edge away from the root.  A sampling self-check then tops
+up undercovered pieces within the max(kC, k+2) budget and certifies the
+result; an uncertified placement is returned with diagnostics, never
+silently.
 """
 
 from __future__ import annotations
@@ -193,9 +194,11 @@ class _Pipeline:
     epsilon: Fraction
     seed: int
     cert_edge_samples: int
-    cert_region_samples: int
-    _root_centroid: tuple = (0.0, 0.0)
-    _guard_origin: dict = field(default_factory=dict)
+    _guard_origin: dict = field(default_factory=dict, init=False)
+
+    def __post_init__(self):
+        c = self.poly.outer.centroid()
+        self._root_centroid = (float(c.x), float(c.y))
 
     def run(self):
         diagnostics: dict = {"warnings": []}
@@ -224,44 +227,7 @@ class _Pipeline:
                 "minimal mode supports simple polygons only; using fast mode"
             )
             mode = FAST
-        d = decompose(self.poly, mode)
-        if self.k >= 4:
-            d = self._merge_small_pieces(d, diagnostics)
-        return d
-
-    def _merge_small_pieces(self, d: Decomposition, diagnostics) -> Decomposition:
-        # Merge pieces with fewer than k edges into a dual neighbour while
-        # the union stays convex; dual-tree leaves are left alone.
-        changed = True
-        while changed:
-            changed = False
-            g = dual_graph(d)
-            degree = {p.id: 0 for p in d.pieces}
-            for a, b, _ in g.edges:
-                degree[a] += 1
-                degree[b] += 1
-            for piece in sorted(d.pieces, key=lambda p: p.id):
-                if len(piece.labels) >= self.k:
-                    continue
-                if degree.get(piece.id, 0) <= 1:
-                    continue  # ear
-                for diag_id, (seg, pa, pb) in enumerate(d.diagonals):
-                    if piece.id not in (pa, pb):
-                        continue
-                    candidate = merge(d, diag_id)
-                    union = candidate.piece_by_id(min(pa, pb))
-                    from .geometry import is_convex
-
-                    if is_convex(union.ring):
-                        d = candidate
-                        changed = True
-                        diagnostics["warnings"].append(
-                            f"merged small piece {piece.id} across a diagonal"
-                        )
-                        break
-                if changed:
-                    break
-        return d
+        return decompose(self.poly, mode)
 
     # -- single convex piece ----------------------------------------------
 
@@ -269,8 +235,9 @@ class _Pipeline:
         piece = decomp.pieces[0]
         m = self.k + 2
         guards = []
-        for kind, pos, t in _convex_placements(piece, m, prefer_real=True):
-            guards.append(self._make_guard(piece, pos, t, scene, decomp))
+        # prefer_real=True yields REAL placements only.
+        for _, pos, t in _convex_placements(piece, m, prefer_real=True):
+            guards.append(self._make_guard(piece, pos, t, scene))
         trace.steps.append(TraceStep(piece=piece.id, guards=list(range(m))))
         return guards
 
@@ -418,24 +385,9 @@ class _Pipeline:
 
     def _place_by_strong_vis(self, piece, target_ring, scene, used_params):
         for pos in self._host_positions(piece):
-            scene_idx, _ = _piece_param_to_scene(piece, pos, Fraction(1, 2), scene)
-            ivs = strong_kvis_interval_on_edge(
-                scene_idx,
-                target_ring,
-                self.k,
-                scene,
-                n_samples=self.cert_edge_samples,
-                region_samples=self.cert_region_samples,
-                epsilon=self.epsilon,
-            )
-            if not ivs:
+            t_piece = self._strong_vis_param(piece, pos, target_ring, scene)
+            if t_piece is None:
                 continue
-            widest = max(ivs, key=lambda iv: iv.t_hi - iv.t_lo)
-            # Interval is in scene parameters; convert back to piece params.
-            t_scene = widest.midpoint()
-            seg = piece.edge_segment(pos)
-            scene_seg = scene.obstacle_edges[scene_idx]
-            t_piece = t_scene if seg.a == scene_seg.a else 1 - t_scene
             guard = self._try_certified(
                 piece, pos, t_piece, target_ring, scene, used_params
             )
@@ -460,10 +412,7 @@ class _Pipeline:
             position = piece.edge_segment(pos).point_at(t)
             score = 0
             for ring_ in neighbours:
-                if strongly_k_sees_region(
-                    position, ring_, self.k, scene,
-                    n_samples=self.cert_region_samples, epsilon=self.epsilon,
-                ):
+                if strongly_k_sees_region(position, ring_, self.k, scene):
                     score += 1
             if best is None or score > best[0]:
                 best = (score, pos, t)
@@ -525,10 +474,7 @@ class _Pipeline:
     def _try_certified(self, piece, pos, t_piece, target_ring, scene, used_params):
         t_piece = _clamp_param(t_piece)
         position = piece.edge_segment(pos).point_at(t_piece)
-        if not strongly_k_sees_region(
-            position, target_ring, self.k, scene,
-            n_samples=self.cert_region_samples, epsilon=self.epsilon,
-        ):
+        if not strongly_k_sees_region(position, target_ring, self.k, scene):
             return None
         return self._commit(piece, pos, t_piece, scene, used_params)
 
@@ -587,9 +533,7 @@ class _Pipeline:
                 new_guard = relocate_guard(
                     g, decomp, origin_pid, scene,
                     adjacent_piece=pieces[merging_pid],
-                    epsilon=self.epsilon,
                     edge_samples=self.cert_edge_samples,
-                    region_samples=self.cert_region_samples,
                     used_params=used_params,
                 )
             except RelocationFailedError as exc:
@@ -611,10 +555,7 @@ class _Pipeline:
             host_piece = _hosting_piece(guard, pieces)
             if host_piece is not None and host_piece.id == piece.id:
                 return True
-            return strongly_k_sees_region(
-                guard.position, piece.ring, k, scene,
-                n_samples=self.cert_region_samples, epsilon=self.epsilon,
-            )
+            return strongly_k_sees_region(guard.position, piece.ring, k, scene)
 
         matrix = {
             (gi, p.id): certified_for(g, p)
@@ -671,13 +612,7 @@ class _Pipeline:
             and not stranded
             and not failed_reloc
         )
-        trace.diagnostics["self_check"] = {
-            "min_coverage": report.min_coverage,
-            "samples": len(report.per_sample),
-            "violations": [(float(p.x), float(p.y), c) for p, c in report.violations[:16]],
-            "guard_count": len(guards),
-            "guard_cap": cap,
-        }
+        trace.diagnostics["self_check"] = _self_check_summary(report, len(guards), guard_cap=cap)
         return guards
 
     def _repair_guard(self, piece, pieces, scene, used_params, decomp):
@@ -691,22 +626,25 @@ class _Pipeline:
             if other.id == piece.id:
                 continue
             for pos in other.real_edge_indices():
-                scene_idx, _ = _piece_param_to_scene(other, pos, Fraction(1, 2), scene)
-                ivs = strong_kvis_interval_on_edge(
-                    scene_idx, piece.ring, self.k, scene,
-                    n_samples=self.cert_edge_samples,
-                    region_samples=self.cert_region_samples,
-                    epsilon=self.epsilon,
-                )
-                if not ivs:
-                    continue
-                widest = max(ivs, key=lambda iv: iv.t_hi - iv.t_lo)
-                t_scene = widest.midpoint()
-                seg = other.edge_segment(pos)
-                scene_seg = scene.obstacle_edges[scene_idx]
-                t_piece = t_scene if seg.a == scene_seg.a else 1 - t_scene
-                return self._commit(other, pos, t_piece, scene, used_params)
+                t_piece = self._strong_vis_param(other, pos, piece.ring, scene)
+                if t_piece is not None:
+                    return self._commit(other, pos, t_piece, scene, used_params)
         return None
+
+    def _strong_vis_param(self, piece, pos, target_ring, scene) -> Fraction | None:
+        """Piece parameter of the midpoint of the widest interval on the
+        real edge at ``pos`` whose positions strongly k-see ``target_ring``;
+        None when there is none."""
+        scene_idx, _ = _piece_param_to_scene(piece, pos, Fraction(1, 2), scene)
+        ivs = strong_kvis_interval_on_edge(
+            scene_idx, target_ring, self.k, scene, n_samples=self.cert_edge_samples
+        )
+        if not ivs:
+            return None
+        t_scene = max(ivs, key=lambda iv: iv.t_hi - iv.t_lo).midpoint()
+        seg = piece.edge_segment(pos)
+        scene_seg = scene.obstacle_edges[scene_idx]
+        return t_scene if seg.a == scene_seg.a else 1 - t_scene
 
     def _fresh_param(self, piece, pos, scene, used_params) -> Fraction | None:
         scene_idx, _ = _piece_param_to_scene(piece, pos, Fraction(1, 2), scene)
@@ -723,26 +661,14 @@ class _Pipeline:
                 return t_scene if seg.a == scene_seg.a else 1 - t_scene
         return None
 
-    def _make_guard(self, piece, pos, t_piece, scene, decomp) -> Guard:
-        lab = piece.labels[pos]
-        if lab.kind == REAL:
-            scene_idx, t_scene = _piece_param_to_scene(piece, pos, t_piece, scene)
-            t_scene = self._shift_away_from_root(piece, pos, t_scene, scene)
-            return Guard(
-                position=_scene_param_point(scene, scene_idx, t_scene),
-                host_kind=REAL,
-                host_index=scene_idx,
-                t=t_scene,
-                k=self.k,
-            )
-        diag_seg = decomp.diagonals[lab.index][0]
-        piece_seg = piece.edge_segment(pos)
-        t_diag = t_piece if piece_seg.a == diag_seg.a else 1 - t_piece
+    def _make_guard(self, piece, pos, t_piece, scene) -> Guard:
+        scene_idx, t_scene = _piece_param_to_scene(piece, pos, t_piece, scene)
+        t_scene = self._shift_away_from_root(piece, pos, t_scene, scene)
         return Guard(
-            position=diag_seg.point_at(t_diag),
-            host_kind=DIAGONAL,
-            host_index=lab.index,
-            t=t_diag,
+            position=_scene_param_point(scene, scene_idx, t_scene),
+            host_kind=REAL,
+            host_index=scene_idx,
+            t=t_scene,
             k=self.k,
         )
 
@@ -804,9 +730,7 @@ def relocate_guard(
     previous_piece_id: int | None,
     scene: VisibilityQueryScene,
     adjacent_piece: ConvexPiece,
-    epsilon: Fraction | None = None,
     edge_samples: int = 24,
-    region_samples: int = 8,
     used_params: dict | None = None,
 ) -> Guard:
     """Move a diagonal guard onto a real edge of the adjacent piece, inside
@@ -816,7 +740,6 @@ def relocate_guard(
     position exists."""
     if g.host_kind == REAL:
         return g
-    eps = epsilon if epsilon is not None else default_epsilon(scene)
     prev_ring = None
     if previous_piece_id is not None:
         prev_ring = d.piece_by_id(previous_piece_id).ring
@@ -828,8 +751,7 @@ def relocate_guard(
             scene_seg_idx = piece.labels[pos].index
             target = prev_ring if prev_ring is not None else adjacent_piece.ring
             ivs = strong_kvis_interval_on_edge(
-                scene_seg_idx, target, g.k, scene,
-                n_samples=edge_samples, region_samples=region_samples, epsilon=eps,
+                scene_seg_idx, target, g.k, scene, n_samples=edge_samples
             )
             if not ivs:
                 continue
@@ -877,7 +799,6 @@ def place_guards(
     epsilon: Fraction | None = None,
     seed: int = 0,
     cert_edge_samples: int = 24,
-    cert_region_samples: int = 8,
 ):
     """The (k+2)-guarding pipeline.  Returns (GuardSet, PlacementTrace);
     an undercovered result carries trace.certified == False with
@@ -898,18 +819,10 @@ def place_guards(
         epsilon=Fraction(scene_eps),
         seed=seed,
         cert_edge_samples=cert_edge_samples,
-        cert_region_samples=cert_region_samples,
     )
-    pipeline._root_centroid = _polygon_centroid(poly)
-    pipeline._guard_origin = {}
     gs, trace = pipeline.run()
     trace.diagnostics.setdefault("warnings", []).extend(warnings)
     return gs, trace
-
-
-def _polygon_centroid(poly: PolygonWithHoles):
-    c = poly.outer.centroid()
-    return (float(c.x), float(c.y))
 
 
 def guard_with_holes(
@@ -965,10 +878,15 @@ def guard_with_holes(
     )
     trace.diagnostics = dict(base_trace.diagnostics)
     trace.diagnostics["warnings"] = trace.diagnostics.get("warnings", []) + warnings
-    trace.diagnostics["self_check"] = {
+    trace.diagnostics["self_check"] = _self_check_summary(report, len(guards))
+    return gs, trace
+
+
+def _self_check_summary(report, guard_count: int, **extra) -> dict:
+    return {
         "min_coverage": report.min_coverage,
         "samples": len(report.per_sample),
         "violations": [(float(p.x), float(p.y), c) for p, c in report.violations[:16]],
-        "guard_count": len(guards),
+        "guard_count": guard_count,
+        **extra,
     }
-    return gs, trace

@@ -233,8 +233,8 @@ def _count_visible(sample_h, indexes, k: int) -> int | None:
 
 
 def _coverage_chunk(args):
-    samples_h, guards_h, edges_i, k, cee = args
-    indexes = wedge_indexes(edges_i, guards_h, cee)
+    samples_h, guards_h, edges_i, k = args
+    indexes = wedge_indexes(edges_i, guards_h)
     return [_count_visible(s, indexes, k) for s in samples_h]
 
 
@@ -261,8 +261,7 @@ def coverage(
     samples = sample_points(poly, plan)
     guards_h = [scene.homogenize(g.position) for g in guards.guards]
     edges_i = scene._edges_i
-    cee = scene.count_endpoint_edges
-    indexes = wedge_indexes(edges_i, guards_h, cee)
+    indexes = wedge_indexes(edges_i, guards_h)
 
     def jittered(p: Point, rng: random.Random) -> Point:
         jx = Fraction(round((rng.random() * 2 - 1) * _QUANTUM), _QUANTUM)
@@ -289,7 +288,7 @@ def coverage(
 
         chunks = [samples[i::threads] for i in range(threads)]
         args = [
-            ([scene.homogenize(s) for s in ch], guards_h, edges_i, k, cee)
+            ([scene.homogenize(s) for s in ch], guards_h, edges_i, k)
             for ch in chunks
         ]
         try:

@@ -1,24 +1,25 @@
-"""k-visibility queries: crossing counts, point-pair visibility, and sampled
-strong segment visibility on edges.
+"""k-visibility queries: crossing counts, point-pair visibility, exact
+strong visibility of a convex region, and sampled strong visibility
+intervals on edges.
 
 A sight segment crosses an obstacle only when the two open interiors meet
 transversally.  Segments that graze a polygon vertex or run along an edge
 are DEGENERATE: the caller perturbs and retries (the verifier does this
-automatically).  All counting is exact; scene edges are pre-scaled to
-integers and query points are homogenized to integer (nx, ny, d) triples so
-the hot loop is pure int arithmetic.
+automatically).  An edge that holds a query endpoint consumes no crossing.
+All counting is exact; scene edges are pre-scaled to integers and query
+points are homogenized to integer (nx, ny, d) triples so the hot loop is
+pure int arithmetic.
 
 Work that does not depend on the far endpoint is done once.  The crossing
 kernel reads a per-origin edge table (``origin_table``): every edge's
 endpoints relative to the origin p, so a query from p to q only forms the
-two orientations that involve q.  A scene keeps each region's nudged
-boundary probes and their homogenized triples (``_region_probes``), so the
-strong-visibility checks of many guards against one region build them once.
+two orientations that involve q.
 
-Many queries from one guard go through its ``WedgeIndex``: the scene sorted
-by angle around the guard, so a count is two bisections on ints, with the
+Many queries from one point go through its ``WedgeIndex``: the scene sorted
+by angle around the point, so a count is two bisections on ints, with the
 kernel as the exact fallback for every query the index cannot decide
-strictly.
+strictly.  Strong visibility of a region is decided on the same index,
+wedge by wedge, by clipping the region with half-planes on ints.
 """
 
 from __future__ import annotations
@@ -68,23 +69,17 @@ def _denominator(c) -> int:
 
 class VisibilityQueryScene:
     """A polygon plus its flat obstacle-edge list, indexed stably (outer
-    edges first, then each hole's edges in order).
+    edges first, then each hole's edges in order)."""
 
-    ``count_endpoint_edges`` switches to the alternative convention where an
-    edge containing a query endpoint in its interior consumes one crossing.
-    Default is the non-counting convention.
-    """
+    __slots__ = ("polygon", "obstacle_edges", "scale", "_edges_i", "_wedges", "_index")
 
-    __slots__ = ("polygon", "obstacle_edges", "count_endpoint_edges", "scale", "_edges_i", "_probes")
-
-    def __init__(self, polygon: PolygonWithHoles, count_endpoint_edges: bool = False):
+    def __init__(self, polygon: PolygonWithHoles):
         self.polygon = polygon
         self.obstacle_edges: tuple[Segment, ...] = tuple(polygon.edges())
-        self.count_endpoint_edges = count_endpoint_edges
         self.scale = denominator_lcm(polygon)
         self._edges_i = [e for r in polygon.rings() for e in ring_edges_i(r, self.scale)]
-        # (region, n_samples, epsilon) -> (rel, centroid, [(probe, probe_h)])
-        self._probes: dict = {}
+        self._wedges: WedgeScene | None = None
+        self._index: WedgeIndex | None = None
 
     def homogenize(self, p: Point) -> tuple[int, int, int]:
         """Integer (nx, ny, d) with p*scale == (nx/d, ny/d)."""
@@ -93,6 +88,16 @@ class VisibilityQueryScene:
         dx, dy = _denominator(sx), _denominator(sy)
         d = lcm(dx, dy)
         return int(sx * d), int(sy * d), d
+
+    def wedge_index(self, p: Point) -> WedgeIndex:
+        """p's ``WedgeIndex``.  Only the last one built is kept, so a run of
+        queries from one point shares it and a scene holds one index."""
+        p_h = self.homogenize(p)
+        if self._index is None or self._index.g_h != p_h:
+            if self._wedges is None:
+                self._wedges = WedgeScene(self._edges_i)
+            self._index = WedgeIndex(self._wedges, p_h)
+        return self._index
 
 
 def origin_table(
@@ -112,7 +117,6 @@ def crossing_count_h(
     p_h: tuple[int, int, int],
     q_h: tuple[int, int, int],
     table: Sequence[tuple[int, ...]],
-    count_endpoint_edges: bool = False,
 ) -> int:
     """Exact number of edges whose open interior transversally crosses the
     open segment pq, on homogenized integer points; ``table`` is
@@ -158,8 +162,6 @@ def crossing_count_h(
         if op == 0 or oq == 0:
             # A query endpoint lies on this edge (interior, since the edge
             # straddles line(pq)): endpoint incidence, not a crossing.
-            if count_endpoint_edges:
-                count += 1
             continue
         if (op > 0) != (oq > 0):
             count += 1
@@ -207,19 +209,14 @@ def _vertex_on_open_segment_check(p_h, q_h, vx, vy, idx) -> None:
 def crossing_count(p: Point, q: Point, scene: VisibilityQueryScene) -> int:
     """Number of obstacle edges properly crossed by the open segment pq.
 
-    Edges meeting p or q (at a vertex or along their interior) contribute 0
-    under the default convention.  Raises DegenerateSightlineError when pq
+    Edges meeting p or q (at a vertex or along their interior) contribute 0.
+    Raises DegenerateSightlineError when pq
     overlaps an edge or passes exactly through a polygon vertex.
     """
     if p == q:
         raise ValueError("crossing_count requires two distinct points")
     p_h = scene.homogenize(p)
-    return crossing_count_h(
-        p_h,
-        scene.homogenize(q),
-        origin_table(p_h, scene._edges_i),
-        scene.count_endpoint_edges,
-    )
+    return crossing_count_h(p_h, scene.homogenize(q), origin_table(p_h, scene._edges_i))
 
 
 def k_visible(p: Point, q: Point, k: int, scene: VisibilityQueryScene) -> bool:
@@ -264,8 +261,7 @@ class WedgeIndex:
     order by distance from g.  Each wedge lists them near to far, every
     edge oriented with g on its left, so a query q in the wedge crosses
     exactly the edges it lies strictly right of, a prefix of the list.
-    Edges incident to g or seen edge-on are left out; an edge whose
-    interior holds g adds one under ``count_endpoint_edges``.
+    Edges incident to g, seen edge-on or holding g are left out.
 
     ``count`` finds q's wedge and its prefix by two bisections.  A query
     the index cannot decide strictly (q equal to g, q on a ray, q on the
@@ -275,12 +271,11 @@ class WedgeIndex:
     kernel's.  Only small ids are kept per guard: ray vertex ids and
     per-wedge edge codes (``WedgeScene``)."""
 
-    __slots__ = ("scene", "g_h", "count_endpoint_edges", "rays", "split", "wedges", "host", "_table")
+    __slots__ = ("scene", "g_h", "rays", "split", "wedges", "_table")
 
-    def __init__(self, scene: WedgeScene, g_h: tuple[int, int, int], count_endpoint_edges: bool = False):
+    def __init__(self, scene: WedgeScene, g_h: tuple[int, int, int]):
         self.scene = scene
         self.g_h = g_h
-        self.count_endpoint_edges = count_endpoint_edges
         self._table = None
         gx, gy, gd = g_h
         rel = [(vx * gd - gx, vy * gd - gy) for vx, vy in scene.vertices]
@@ -311,15 +306,13 @@ class WedgeIndex:
         n_rays = len(rays)
         spanning: list[list[int]] = [[] for _ in range(n_rays)]
         key: dict[int, int] = {}  # code -> cross(from - g, to - g) > 0, times gd^2
-        host = 0
         for i, (ia, ib) in enumerate(scene.ends):
             (ax, ay), (bx, by) = rel[ia], rel[ib]
             if not (ax or ay) or not (bx or by):
                 continue  # incident to g
             cr = ax * by - ay * bx
             if cr == 0:
-                host += ax * bx + ay * by < 0  # else edge-on
-                continue
+                continue  # edge-on, or g in its interior
             if cr > 0:
                 code, first, last = 2 * i, ray_of[ia], ray_of[ib]
             else:
@@ -329,7 +322,6 @@ class WedgeIndex:
             while w != last:
                 spanning[w].append(code)
                 w = (w + 1) % n_rays
-        self.host = host if count_endpoint_edges else 0
 
         # d = ray w + ray w+1 points into the wedge, which is less than pi
         # wide when an edge spans it.  Along d, the oriented edge (from, to)
@@ -348,7 +340,7 @@ class WedgeIndex:
         self.wedges = wedges
 
     def count(self, q_h: tuple[int, int, int]) -> int:
-        """``crossing_count_h`` from g to q, under the index's convention."""
+        """``crossing_count_h`` from g to q."""
         gx, gy, gd = self.g_h
         qx, qy, qd = q_h
         ux = qx * gd - gx * qd
@@ -384,30 +376,20 @@ class WedgeIndex:
             else:
                 return self._fallback(q_h)
         # When lo < len(wedge), edge lo was probed and q is strictly before it.
-        return lo + self.host
+        return lo
 
     def _fallback(self, q_h: tuple[int, int, int]) -> int:
         if self._table is None:
             self._table = origin_table(self.g_h, self.scene.edges_i)
-        return crossing_count_h(self.g_h, q_h, self._table, self.count_endpoint_edges)
+        return crossing_count_h(self.g_h, q_h, self._table)
 
 
 def wedge_indexes(
-    edges_i: Sequence[tuple[int, int, int, int]],
-    guards_h: Sequence[tuple[int, int, int]],
-    count_endpoint_edges: bool = False,
+    edges_i: Sequence[tuple[int, int, int, int]], guards_h: Sequence[tuple[int, int, int]]
 ) -> list[WedgeIndex]:
     """One ``WedgeIndex`` per guard over one shared ``WedgeScene``."""
     scene = WedgeScene(edges_i)
-    return [WedgeIndex(scene, g_h, count_endpoint_edges) for g_h in guards_h]
-
-
-def _toward(p: Point, target: Point, delta: Fraction) -> Point:
-    """Exact point p + delta*(target - p)."""
-    return Point(
-        coerce_coord(p.x + delta * (target.x - p.x)),
-        coerce_coord(p.y + delta * (target.y - p.y)),
-    )
+    return [WedgeIndex(scene, g_h) for g_h in guards_h]
 
 
 def default_epsilon(scene: VisibilityQueryScene) -> Fraction:
@@ -418,6 +400,9 @@ def default_epsilon(scene: VisibilityQueryScene) -> Fraction:
     return Fraction(diag).limit_denominator(10**9) / 10**6
 
 
+# Nothing here calls ``region_boundary_samples`` any more; it stays
+# importable as ``visibility.region_boundary_samples``, which
+# bench/tracer.py wraps.
 def region_boundary_samples(
     region: Ring, n_samples: int, nudge: Fraction
 ) -> list[Point]:
@@ -435,66 +420,83 @@ def region_boundary_samples(
             base = e.point_at(t)
             if base == centroid:
                 continue
-            samples.append(_toward(base, centroid, nudge))
+            samples.append(
+                Point(
+                    coerce_coord(base.x + nudge * (centroid.x - base.x)),
+                    coerce_coord(base.y + nudge * (centroid.y - base.y)),
+                )
+            )
     return samples
 
 
-def _region_probes(
-    scene: VisibilityQueryScene, region: Ring, n_samples: int, epsilon: Fraction | None
-) -> tuple[Fraction, Point, list[tuple[Point, tuple[int, int, int]]]]:
-    """``region``'s relative nudge, centroid and nudged boundary samples,
-    each with its homogenized triple; built once per scene and key."""
-    key = (region, n_samples, epsilon)
-    probes = scene._probes.get(key)
-    if probes is None:
-        eps = epsilon if epsilon is not None else default_epsilon(scene)
-        rel = _relative_nudge(region, eps)
-        samples = region_boundary_samples(region, n_samples, rel)
-        probes = (rel, region.centroid(), [(s, scene.homogenize(s)) for s in samples])
-        scene._probes[key] = probes
-    return probes
+def strongly_k_sees_region(p: Point, region: Ring, k: int, scene: VisibilityQueryScene) -> bool:
+    """Exact strong k-visibility of a convex region: no open set of
+    ``region``'s interior lies more than k crossings from p.  Points on a
+    sight line through a scene vertex or on an edge's line have measure
+    zero and decide nothing.
 
-
-def strongly_k_sees_region(
-    p: Point,
-    region: Ring,
-    k: int,
-    scene: VisibilityQueryScene,
-    n_samples: int = 64,
-    epsilon: Fraction | None = None,
-) -> bool:
-    """Sampled strong k-visibility: p must k-see every boundary sample of
-    ``region``.  Degenerate samples are re-perturbed up to 8 times, then
-    counted as failures."""
-    rel, centroid, probes = _region_probes(scene, region, n_samples, epsilon)
-    p_h = scene.homogenize(p)
-    table = origin_table(p_h, scene._edges_i)
-    cee = scene.count_endpoint_edges
-    for s, s_h in probes:
-        attempt_h = s_h
-        for retry in range(9):
-            if attempt_h == p_h:
-                break
-            try:
-                if crossing_count_h(p_h, attempt_h, table, cee) > k:
-                    return False
-                break
-            except DegenerateSightlineError:
-                attempt_h = scene.homogenize(_toward(s, centroid, rel * (retry + 2)))
-        else:
+    In a wedge of p's ``WedgeIndex``, a point crosses exactly the listed
+    edges it lies beyond, so it crosses more than k iff it lies beyond the
+    (k+1)-th.  p fails iff, for some wedge listing k+1 edges or more, the
+    region's interior meets the open wedge beyond that edge: the region
+    clipped by the wedge's two rays and the edge's line keeps a positive
+    area.  Decided on ints, with the region's homogenized vertices."""
+    index = scene.wedge_index(p)
+    gx, gy, gd = index.g_h
+    vertices, lines, rays = index.scene.vertices, index.scene.lines, index.rays
+    region_h = [scene.homogenize(v) for v in region.vertices]
+    for w, codes in enumerate(index.wedges):
+        if len(codes) <= k:
+            continue
+        # Rays w and w+1, relative to p and scaled by gd.
+        ax, ay = vertices[rays[w]]
+        bx, by = vertices[rays[(w + 1) % len(rays)]]
+        ax, ay, bx, by = ax * gd - gx, ay * gd - gy, bx * gd - gx, by * gd - gy
+        ex, ey, c = lines[codes[k]]
+        # (a, b, c) holds a homogenized q when a*qx + b*qy + c*qd > 0: q is
+        # past ray w, before ray w+1, and beyond edge k.  The wedge is less
+        # than pi wide, so ``front`` (ahead of p along ray w + ray w+1) is
+        # implied by the first two; it only rejects early.
+        cuts = (
+            (-ay * gd, ax * gd, ay * gx - ax * gy),
+            (by * gd, -bx * gd, bx * gy - by * gx),
+            (ey, -ex, c),
+        )
+        dx, dy = ax + bx, ay + by
+        front = (dx * gd, dy * gd, -dx * gx - dy * gy)
+        if any(all(a * x + b * y + c * d <= 0 for x, y, d in region_h) for a, b, c in (front, *cuts)):
+            continue
+        if _clip_has_area(region_h, cuts):
             return False
     return True
 
 
-def _relative_nudge(region: Ring, eps: Fraction) -> Fraction:
-    x0, y0, x1, y1 = region.bbox()
-    span = max(x1 - x0, y1 - y0)
-    if span <= 0:
-        return Fraction(1, 1024)
-    rel = Fraction(eps) / Fraction(span)
-    if rel >= Fraction(1, 4):
-        rel = Fraction(1, 1024)
-    return rel
+def _clip_has_area(poly: list[tuple[int, int, int]], half_planes) -> bool:
+    """True iff the convex polygon of homogenized vertices (positive d),
+    clipped to the closed half-planes a*x + b*y + c*d >= 0, keeps a
+    positive area."""
+    for a, b, c in half_planes:
+        clipped = []
+        x0, y0, d0 = poly[-1]
+        f0 = a * x0 + b * y0 + c * d0
+        for x1, y1, d1 in poly:
+            f1 = a * x1 + b * y1 + c * d1
+            if (f0 < 0 < f1) or (f1 < 0 < f0):
+                # |f0|*v1 + |f1|*v0 is on the line, with a positive d.
+                s0, s1 = abs(f0), abs(f1)
+                clipped.append((s0 * x1 + s1 * x0, s0 * y1 + s1 * y0, s0 * d1 + s1 * d0))
+            if f1 >= 0:
+                clipped.append((x1, y1, d1))
+            x0, y0, d0, f0 = x1, y1, d1, f1
+        if len(clipped) < 3:
+            return False
+        poly = clipped
+    # Convex, so the area is positive iff some fan triangle is not flat.
+    x0, y0, d0 = poly[0]
+    for (x1, y1, d1), (x2, y2, d2) in zip(poly[1:], poly[2:]):
+        if x0 * (y1 * d2 - y2 * d1) - y0 * (x1 * d2 - x2 * d1) + d0 * (x1 * y2 - x2 * y1):
+            return True
+    return False
 
 
 def strong_kvis_interval_on_edge(
@@ -503,8 +505,6 @@ def strong_kvis_interval_on_edge(
     k: int,
     scene: VisibilityQueryScene,
     n_samples: int = 64,
-    region_samples: int = 64,
-    epsilon: Fraction | None = None,
 ) -> list[EdgeInterval]:
     """Maximal parameter intervals on a scene edge whose sampled candidate
     positions all strongly k-see ``region``.
@@ -518,7 +518,7 @@ def strong_kvis_interval_on_edge(
     for j in range(n_samples):
         t = Fraction(2 * j + 1, 2 * n_samples)
         pos = edge.point_at(t)
-        if strongly_k_sees_region(pos, region, k, scene, region_samples, epsilon):
+        if strongly_k_sees_region(pos, region, k, scene):
             qualifying.append(t)
     intervals: list[EdgeInterval] = []
     run_start = None

@@ -254,3 +254,29 @@ def test_minimal_decompose_leaves_no_garbage():
             assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("mode", [MINIMAL, FAST])
+def test_no_diagonal_is_removable(mode):
+    # Removing any one diagonal of a MINIMAL or Hertel-Mehlhorn
+    # decomposition leaves a non-convex union: a convex one would contradict
+    # minimality, or Hertel-Mehlhorn would have removed that diagonal.
+    specs = [
+        GenSpec(fam, n, seed)
+        for fam in ("random_simple", "monotone")
+        for n in range(8, 57, 8)
+        for seed in (1, 2, 3)
+    ]
+    specs += [GenSpec("comb", n) for n in range(8, 61, 8)]
+    specs += [GenSpec("spiral", n) for n in range(9, 58, 8)]
+    specs += [GenSpec("staircase", n) for n in range(5, 60, 8)]
+    specs += [GenSpec("dart", 4, seed) for seed in range(1, 11)]
+    specs += [GenSpec("with_holes", 8, seed) for seed in range(1, 7)]
+    tried = 0
+    for spec in specs:
+        d = decompose(generate(spec), mode)
+        for i, (_, pa, pb) in enumerate(d.diagonals):
+            union = merge(d, i).piece_by_id(min(pa, pb))
+            assert not is_convex(union.ring), (spec, i)
+            tried += 1
+    assert tried > 100

@@ -169,9 +169,7 @@ def test_relocate_guard_from_diagonal(l_hexagon):
     assert moved.host_kind == REAL
     assert moved.role == "relocated"
     # Re-certified: the new position still watches the piece it guarded.
-    assert strongly_k_sees_region(
-        moved.position, d.piece_by_id(pa).ring, 2, scene, n_samples=16
-    )
+    assert strongly_k_sees_region(moved.position, d.piece_by_id(pa).ring, 2, scene)
 
 
 def test_guard_with_holes_square(square_with_hole):
