@@ -454,17 +454,14 @@ def strongly_k_sees_region(p: Point, region: Ring, k: int, scene: VisibilityQuer
         ax, ay, bx, by = ax * gd - gx, ay * gd - gy, bx * gd - gx, by * gd - gy
         ex, ey, c = lines[codes[k]]
         # (a, b, c) holds a homogenized q when a*qx + b*qy + c*qd > 0: q is
-        # past ray w, before ray w+1, and beyond edge k.  The wedge is less
-        # than pi wide, so ``front`` (ahead of p along ray w + ray w+1) is
-        # implied by the first two; it only rejects early.
+        # past ray w, before ray w+1, and beyond edge k.  A spanned wedge is
+        # less than pi wide, so the first two are the open wedge.
         cuts = (
             (-ay * gd, ax * gd, ay * gx - ax * gy),
             (by * gd, -bx * gd, bx * gy - by * gx),
             (ey, -ex, c),
         )
-        dx, dy = ax + bx, ay + by
-        front = (dx * gd, dy * gd, -dx * gx - dy * gy)
-        if any(all(a * x + b * y + c * d <= 0 for x, y, d in region_h) for a, b, c in (front, *cuts)):
+        if any(all(a * x + b * y + c * d <= 0 for x, y, d in region_h) for a, b, c in cuts):
             continue
         if _clip_has_area(region_h, cuts):
             return False

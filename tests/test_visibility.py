@@ -526,3 +526,24 @@ def test_strong_visibility_regression_cells(acceptance_corpus):
     assert strongly_k_sees_region(g, base, 2, VisibilityQueryScene(poly))
     counts = _oracle_counts(g, _interior_lattice(base, 24), poly)
     assert counts and max(counts) <= 2
+
+
+def test_strong_visibility_wide_wedge_with_unequal_rays():
+    # From g = (0, 0), the wedge between the rays to (1, 0) and to
+    # (-30, 3) is almost pi wide and lists three edges: the hole's two,
+    # then the outer top edge.  The region lies near the short ray, beyond
+    # both hole edges, yet on the far side of the line through g normal to
+    # the sum of the two ray vectors.
+    outer = ring([(30, -30), (30, -1), (-30, 3), (-30, -30)])
+    hole = ring([(1, 0), (-10, 1), (-20, 2)])
+    poly = PolygonWithHoles(outer, [hole])
+    scene = VisibilityQueryScene(poly)
+    g = pt(0, 0)
+    region = ring([(4, "1/4"), (6, "1/4"), (5, "1/2")])
+    counts = _oracle_counts(g, _interior_lattice(region), poly)
+    assert counts and set(counts) == {2}
+    for k in (0, 1):
+        assert not strongly_k_sees_region(g, region, k, scene)
+        w = _reference_witness(g, region, k, poly)
+        assert w is not None and crossing_count_bruteforce(g, w, poly) == 2
+    assert strongly_k_sees_region(g, region, 2, scene)
