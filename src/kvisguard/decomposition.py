@@ -22,13 +22,19 @@ from .geometry import (
     PolygonWithHoles,
     Ring,
     Segment,
+    IntEdge,
     convex_hull,
+    denominator_lcm,
     orientation,
-    point_in_polygon,
+    point_in_polygon_i,
     point_on_segment,
     polygon_problems,
+    ring_edges_i,
     segments_properly_cross,
 )
+# ``point_in_polygon`` is not called here; it stays importable as
+# ``decomposition.point_in_polygon``, which bench/tracer.py wraps.
+from .geometry import point_in_polygon  # noqa: F401
 
 MINIMAL = "minimal"
 FAST = "fast"
@@ -119,7 +125,22 @@ class Pocket:
 # Triangulation
 
 
-def _valid_diagonal(i: int, j: int, verts: Sequence[Point], edges: Sequence[Segment], poly: PolygonWithHoles) -> bool:
+def _rings_at_twice(poly: PolygonWithHoles) -> tuple[int, list[tuple[IntEdge, ...]]]:
+    """(s, rings): s = ``denominator_lcm(poly)`` and every ring's integer
+    edges at scale 2s, on which the midpoint of two vertices a, b is the
+    integer point ((a.x + b.x) * s, (a.y + b.y) * s)."""
+    s = denominator_lcm(poly)
+    return s, [ring_edges_i(r, 2 * s) for r in poly.rings()]
+
+
+def _midpoint_inside(a: Point, b: Point, s: int, rings_2s: Sequence[Sequence[IntEdge]]) -> bool:
+    return point_in_polygon_i(int((a.x + b.x) * s), int((a.y + b.y) * s), rings_2s) == INSIDE
+
+
+def _valid_diagonal(
+    i: int, j: int, verts: Sequence[Point], edges: Sequence[Segment], s: int,
+    rings_2s: Sequence[Sequence[IntEdge]],
+) -> bool:
     a, b = verts[i], verts[j]
     if a == b:
         return False
@@ -130,7 +151,7 @@ def _valid_diagonal(i: int, j: int, verts: Sequence[Point], edges: Sequence[Segm
     for v in verts:
         if v != a and v != b and point_on_segment(v, seg):
             return False
-    return point_in_polygon(seg.midpoint(), poly) == INSIDE
+    return _midpoint_inside(a, b, s, rings_2s)
 
 
 def _ear_clip(indices: list[int], verts: Sequence[Point]) -> list[tuple[int, int, int]]:
@@ -191,6 +212,7 @@ def _bridge_holes(poly: PolygonWithHoles):
     bridges: list[tuple[int, int]] = []
 
     all_edges = poly.edges()
+    s, rings_2s = _rings_at_twice(poly)
     all_vertices = [v for r in poly.rings() for v in r.vertices]
     # Process holes by decreasing max-x so earlier bridges never block later
     # ones on the left.
@@ -226,8 +248,7 @@ def _bridge_holes(poly: PolygonWithHoles):
                         break
             if not ok:
                 continue
-            mid = cand.midpoint()
-            if point_in_polygon(mid, poly) != INSIDE:
+            if not _midpoint_inside(cand.a, cand.b, s, rings_2s):
                 continue
             d2 = cand.length_sq()
             if best is None or d2 < best[0]:
@@ -372,6 +393,7 @@ def _minimal_partition(ring_pts: Sequence[Point]) -> list[list[int]]:
     n = len(ring_pts)
     poly = PolygonWithHoles(Ring(ring_pts), validate=False)
     edges = poly.outer.edges()
+    s, rings_2s = _rings_at_twice(poly)
 
     orient_sign = [[[0] * n for _ in range(n)] for _ in range(n)]
     for a in range(n):
@@ -390,7 +412,7 @@ def _minimal_partition(ring_pts: Sequence[Point]) -> list[list[int]]:
         for j in range(i + 2, n):
             if i == 0 and j == n - 1:
                 continue  # the closing polygon edge, not a diagonal
-            if _valid_diagonal(i, j, ring_pts, edges, poly):
+            if _valid_diagonal(i, j, ring_pts, edges, s, rings_2s):
                 link[i][j] = True
 
     INF = 1 << 30

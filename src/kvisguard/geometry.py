@@ -4,7 +4,10 @@ Coordinates are exact rationals (``int`` or ``fractions.Fraction``); every
 predicate evaluates an exact sign, never a floating guess.  Floats are
 accepted at construction time and converted to their exact binary rational
 value.  Hot query loops elsewhere homogenize points to integer triples, so
-the predicates here are also written to run fast on plain ints.
+the predicates here are also written to run fast on plain ints.  Points
+are classified against rings by one test, ``point_in_ring_i``, on ints:
+the point and the rings are first scaled by a common factor that clears
+every denominator (``ring_edges_i``).
 """
 
 from __future__ import annotations
@@ -298,28 +301,6 @@ def is_convex(r: Ring) -> bool:
     return True
 
 
-def point_in_ring(p: Point, r: Ring) -> str:
-    """Exact INSIDE/BOUNDARY/OUTSIDE classification against one ring."""
-    n = len(r.vertices)
-    px, py = p
-    crossings = 0
-    for i in range(n):
-        a = r.vertices[i]
-        b = r.vertices[(i + 1) % n]
-        if orientation(a, b, p) == COLLINEAR and point_on_segment(p, Segment(a, b)):
-            return BOUNDARY
-        ay, by = a.y, b.y
-        if (ay > py) != (by > py):
-            # Exact x-comparison of the edge at height py against px.
-            # x_int = a.x + (py-ay)*(b.x-a.x)/(by-ay)
-            num = (py - ay) * (b.x - a.x)
-            den = by - ay
-            lhs = (a.x - px) * den + num
-            if (lhs > 0) == (den > 0):
-                crossings += 1
-    return INSIDE if crossings % 2 == 1 else OUTSIDE
-
-
 IntEdge = tuple[int, int, int, int]
 
 
@@ -336,9 +317,12 @@ def ring_edges_i(r: Ring, scale: int) -> tuple[IntEdge, ...]:
 
 
 def point_in_ring_i(px: int, py: int, edges: Sequence[IntEdge]) -> str:
-    """``point_in_ring`` for an integer point against integer edges (both
-    scaled by the same positive factor): the same crossing rule and the
-    same closed-edge boundary test, on ints only."""
+    """Exact INSIDE/BOUNDARY/OUTSIDE classification of an integer point
+    against one ring's integer edges (both scaled by the same positive
+    factor): a closed edge through p is BOUNDARY, otherwise the parity of
+    the edges the rightward ray from p crosses (half-open in y) decides.
+    The package's one point-in-polygon test (Hormann & Agathos, CGTA
+    2001)."""
     crossings = 0
     for ax, ay, bx, by in edges:
         if (ay > py) != (by > py):
@@ -362,7 +346,8 @@ def point_in_ring_i(px: int, py: int, edges: Sequence[IntEdge]) -> str:
 
 def point_in_polygon_i(px: int, py: int, rings: Sequence[Sequence[IntEdge]]) -> str:
     """``point_in_polygon`` on the integer lattice: ``rings`` holds the
-    outer ring's edges first, then each hole's (see ``ring_edges_i``)."""
+    outer ring's edges first, then each hole's (see ``ring_edges_i``);
+    inside a hole counts as OUTSIDE."""
     where = point_in_ring_i(px, py, rings[0])
     if where != INSIDE:
         return where
@@ -437,6 +422,14 @@ class PolygonWithHoles:
 
 def polygon_problems(poly: PolygonWithHoles) -> list[str]:
     problems = list(ring_problems(poly.outer))
+    # Vertex-in-ring checks run on ints, every ring scaled by one factor.
+    s = denominator_lcm(poly)
+    outer_i = ring_edges_i(poly.outer, s)
+    holes_i = [ring_edges_i(h, s) for h in poly.holes]
+
+    def where(v: Point, edges: Sequence[IntEdge]) -> str:
+        return point_in_ring_i(int(v.x * s), int(v.y * s), edges)
+
     if not poly.outer.is_ccw():
         problems.append("outer ring must be counterclockwise")
     for hi, hole in enumerate(poly.holes):
@@ -447,8 +440,7 @@ def polygon_problems(poly: PolygonWithHoles) -> list[str]:
         if hole.is_ccw():
             problems.append(f"hole {hi} must be clockwise")
         for vi, v in enumerate(hole.vertices):
-            where = point_in_ring(v, poly.outer)
-            if where != INSIDE:
+            if where(v, outer_i) != INSIDE:
                 problems.append(
                     f"hole {hi} vertex {vi} {tuple(v)} is not strictly inside the outer ring"
                 )
@@ -457,7 +449,7 @@ def polygon_problems(poly: PolygonWithHoles) -> list[str]:
                 if segments_properly_cross(e1, e2):
                     problems.append(f"hole {hi} crosses the outer ring")
         for v in poly.outer.vertices:
-            if point_in_ring(v, hole) != OUTSIDE:
+            if where(v, holes_i[hi]) != OUTSIDE:
                 problems.append(f"outer vertex {tuple(v)} touches hole {hi}")
     for hi in range(len(poly.holes)):
         for hj in range(hi + 1, len(poly.holes)):
@@ -468,10 +460,10 @@ def polygon_problems(poly: PolygonWithHoles) -> list[str]:
                     if segments_properly_cross(e1, e2):
                         touching = True
             for v in a.vertices:
-                if point_in_ring(v, b) != OUTSIDE:
+                if where(v, holes_i[hj]) != OUTSIDE:
                     touching = True
             for v in b.vertices:
-                if point_in_ring(v, a) != OUTSIDE:
+                if where(v, holes_i[hi]) != OUTSIDE:
                     touching = True
             if touching:
                 problems.append(f"holes {hi} and {hj} intersect or touch")
@@ -479,17 +471,13 @@ def polygon_problems(poly: PolygonWithHoles) -> list[str]:
 
 
 def point_in_polygon(p: Point, poly: PolygonWithHoles) -> str:
-    """Classify p against the polygon: inside a hole counts as OUTSIDE."""
-    where = point_in_ring(p, poly.outer)
-    if where != INSIDE:
-        return where
-    for hole in poly.holes:
-        inner = point_in_ring(p, hole)
-        if inner == BOUNDARY:
-            return BOUNDARY
-        if inner == INSIDE:
-            return OUTSIDE
-    return INSIDE
+    """Classify p against the polygon: inside a hole counts as OUTSIDE.
+    Scales p and every ring by one factor that clears all their
+    denominators, then runs ``point_in_polygon_i``."""
+    s = lcm(denominator_lcm(poly), p.x.denominator, p.y.denominator)
+    return point_in_polygon_i(
+        int(p.x * s), int(p.y * s), [ring_edges_i(r, s) for r in poly.rings()]
+    )
 
 
 def convex_hull(points: Sequence[Point], keep_collinear: bool = False) -> list[Point]:

@@ -7,10 +7,10 @@ Each piece receives two guards: one inside a feasible region aimed at its
 parent piece across the shared diagonal (pocket sweep first, then sampled
 host-edge positions tested by exact strong visibility), one aimed at its
 first child or at the best-scoring free real edge.  Every guard is nudged
-along its host edge away from the root.  A sampling self-check then tops
-up undercovered pieces within the max(kC, k+2) budget and certifies the
-result; an uncertified placement is returned with diagnostics, never
-silently.
+along its host edge away from the root.  Undercovered pieces are then
+topped up within the max(kC, k+2) budget, and a sampling self-check
+certifies the result; an uncertified placement is returned with
+diagnostics, never silently.
 """
 
 from __future__ import annotations
@@ -112,27 +112,15 @@ def _extra_params():
         den += 1
 
 
-def _convex_placements(piece: ConvexPiece, m: int, prefer_real: bool):
-    """(kind, piece edge position, t) triples: real-edge midpoints first,
-    then extra distinct parameters on the longest real edges."""
+def _convex_placements(piece: ConvexPiece, m: int):
+    """(piece edge position, t) pairs on real edges: real-edge midpoints
+    first, then extra distinct parameters on the longest real edges."""
     if m < 1:
         raise ValueError("need at least one guard")
     real_pos = piece.real_edge_indices()
-    placements: list[tuple[str, int, Fraction]] = []
     if not real_pos:
-        if prefer_real:
-            raise ValueError(f"piece {piece.id} has no real edge")
-        gens: dict[int, object] = {}
-        for j in range(m):
-            pos = j % len(piece.labels)
-            if pos not in gens:
-                gens[pos] = _extra_params()
-                placements.append((DIAGONAL, pos, Fraction(1, 2)))
-            else:
-                placements.append((DIAGONAL, pos, next(gens[pos])))
-        return placements
-    for pos in real_pos[:m]:
-        placements.append((REAL, pos, Fraction(1, 2)))
+        raise ValueError(f"piece {piece.id} has no real edge")
+    placements: list[tuple[int, Fraction]] = [(pos, Fraction(1, 2)) for pos in real_pos[:m]]
     extras = m - len(placements)
     if extras > 0:
         by_len = sorted(
@@ -142,25 +130,23 @@ def _convex_placements(piece: ConvexPiece, m: int, prefer_real: bool):
         i = 0
         while extras > 0:
             pos = by_len[i % len(by_len)]
-            placements.append((REAL, pos, next(gens[pos])))
+            placements.append((pos, next(gens[pos])))
             extras -= 1
             i += 1
     return placements
 
 
-def guard_convex_piece(
-    piece: ConvexPiece, m: int, prefer_real: bool = True, k: int = 2
-) -> list[Guard]:
+def guard_convex_piece(piece: ConvexPiece, m: int, k: int = 2) -> list[Guard]:
     """m guards covering one convex piece: midpoints of distinct real edges,
     then extra guards at distinct parameters (1/3, 2/3, 1/4, ...) on the
     longest real edges.  Host parameters are in piece-edge coordinates; the
     pipeline reparameterizes onto scene edges."""
     out = []
-    for kind, pos, t in _convex_placements(piece, m, prefer_real):
+    for pos, t in _convex_placements(piece, m):
         out.append(
             Guard(
                 position=piece.edge_segment(pos).point_at(t),
-                host_kind=kind,
+                host_kind=REAL,
                 host_index=piece.labels[pos].index,
                 t=t,
                 k=k,
@@ -193,7 +179,6 @@ class _Pipeline:
     mode: str
     epsilon: Fraction
     seed: int
-    cert_edge_samples: int
     _guard_origin: dict = field(default_factory=dict, init=False)
 
     def __post_init__(self):
@@ -235,8 +220,7 @@ class _Pipeline:
         piece = decomp.pieces[0]
         m = self.k + 2
         guards = []
-        # prefer_real=True yields REAL placements only.
-        for _, pos, t in _convex_placements(piece, m, prefer_real=True):
+        for pos, t in _convex_placements(piece, m):
             guards.append(self._make_guard(piece, pos, t, scene))
         trace.steps.append(TraceStep(piece=piece.id, guards=list(range(m))))
         return guards
@@ -533,7 +517,6 @@ class _Pipeline:
                 new_guard = relocate_guard(
                     g, decomp, origin_pid, scene,
                     adjacent_piece=pieces[merging_pid],
-                    edge_samples=self.cert_edge_samples,
                     used_params=used_params,
                 )
             except RelocationFailedError as exc:
@@ -587,23 +570,14 @@ class _Pipeline:
                     )
                     progress = True
 
-        # Final sampling self-check against the whole polygon.
+        # Final sampling self-check against the whole polygon.  It adds no
+        # guard: a violating sample can only lie in a piece that repair
+        # above already left short.
         plan = SamplePlan(
             grid_density=24, random_count=400, near_feature_count=2, seed=self.seed
         )
         gs = GuardSet(tuple(guards), k, need, piece_count=len(pieces))
         report = coverage(self.poly, gs, plan, piece_count=len(pieces))
-        if report.violations and len(guards) < cap:
-            for vp, _ in report.violations[:8]:
-                target = _piece_containing(vp, pieces)
-                if target is None:
-                    continue
-                newg = self._repair_guard(target, pieces, scene, used_params, decomp)
-                if newg is not None and len(guards) < cap:
-                    guards.append(newg)
-                    trace.steps.append(TraceStep(piece=target.id, guards=[len(guards) - 1]))
-            gs = GuardSet(tuple(guards), k, need, piece_count=len(pieces))
-            report = coverage(self.poly, gs, plan, piece_count=len(pieces))
         stranded = any(g.host_kind == DIAGONAL for g in guards)
         failed_reloc = bool(trace.diagnostics.get("relocation_failures"))
         trace.certified = (
@@ -636,9 +610,7 @@ class _Pipeline:
         real edge at ``pos`` whose positions strongly k-see ``target_ring``;
         None when there is none."""
         scene_idx, _ = _piece_param_to_scene(piece, pos, Fraction(1, 2), scene)
-        ivs = strong_kvis_interval_on_edge(
-            scene_idx, target_ring, self.k, scene, n_samples=self.cert_edge_samples
-        )
+        ivs = strong_kvis_interval_on_edge(scene_idx, target_ring, self.k, scene)
         if not ivs:
             return None
         t_scene = max(ivs, key=lambda iv: iv.t_hi - iv.t_lo).midpoint()
@@ -715,22 +687,12 @@ def _hosting_piece(guard: Guard, pieces) -> ConvexPiece | None:
     return None
 
 
-def _piece_containing(p: Point, pieces) -> ConvexPiece | None:
-    from .geometry import OUTSIDE, point_in_ring
-
-    for piece in pieces:
-        if point_in_ring(p, piece.ring) != OUTSIDE:
-            return piece
-    return None
-
-
 def relocate_guard(
     g: Guard,
     d: Decomposition,
     previous_piece_id: int | None,
     scene: VisibilityQueryScene,
     adjacent_piece: ConvexPiece,
-    edge_samples: int = 24,
     used_params: dict | None = None,
 ) -> Guard:
     """Move a diagonal guard onto a real edge of the adjacent piece, inside
@@ -750,9 +712,7 @@ def relocate_guard(
             seg = piece.edge_segment(pos)
             scene_seg_idx = piece.labels[pos].index
             target = prev_ring if prev_ring is not None else adjacent_piece.ring
-            ivs = strong_kvis_interval_on_edge(
-                scene_seg_idx, target, g.k, scene, n_samples=edge_samples
-            )
+            ivs = strong_kvis_interval_on_edge(scene_seg_idx, target, g.k, scene)
             if not ivs:
                 continue
             widest = max(ivs, key=lambda iv: iv.t_hi - iv.t_lo)
@@ -798,7 +758,6 @@ def place_guards(
     mode: str = MINIMAL,
     epsilon: Fraction | None = None,
     seed: int = 0,
-    cert_edge_samples: int = 24,
 ):
     """The (k+2)-guarding pipeline.  Returns (GuardSet, PlacementTrace);
     an undercovered result carries trace.certified == False with
@@ -818,7 +777,6 @@ def place_guards(
         mode=mode,
         epsilon=Fraction(scene_eps),
         seed=seed,
-        cert_edge_samples=cert_edge_samples,
     )
     gs, trace = pipeline.run()
     trace.diagnostics.setdefault("warnings", []).extend(warnings)
@@ -837,16 +795,12 @@ def guard_with_holes(
     against the full scene."""
     if not poly.holes:
         raise ValueError("guard_with_holes requires at least one hole")
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    warnings = []
-    if k % 2 == 1:
-        warnings.append(f"odd k={k} floored to {k - 1}")
-        k -= 1
     outer_only = PolygonWithHoles(poly.outer, (), validate=False)
+    # place_guards checks k and floors an odd k, with its warning.
     base_set, base_trace = place_guards(
         outer_only, k, mode=mode, epsilon=epsilon, seed=seed
     )
+    k = base_set.k
     # Outer edges come first in the full scene, so base guard indices match.
     scene = VisibilityQueryScene(poly)
     n_outer = len(poly.outer)
@@ -877,7 +831,6 @@ def guard_with_holes(
         steps=base_trace.steps, certified=report.ok(), decomposition=base_trace.decomposition
     )
     trace.diagnostics = dict(base_trace.diagnostics)
-    trace.diagnostics["warnings"] = trace.diagnostics.get("warnings", []) + warnings
     trace.diagnostics["self_check"] = _self_check_summary(report, len(guards))
     return gs, trace
 

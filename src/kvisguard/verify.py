@@ -10,7 +10,8 @@ then the sample is re-drawn.
 Grid and seeded candidates, here and in the lemma checks, are built and
 classified as integers by ``_LatticeSampler``; the near-feature probes of
 one feature share a lattice too and are classified there.  Only the jitter
-retries use ``Fraction``s and ``point_in_polygon``.
+retries use ``Fraction``s; ``point_in_polygon`` classifies each retry by
+scaling it and the rings onto one integer lattice.
 """
 
 from __future__ import annotations

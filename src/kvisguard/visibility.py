@@ -496,24 +496,26 @@ def _clip_has_area(poly: list[tuple[int, int, int]], half_planes) -> bool:
     return False
 
 
+# Candidate positions that ``strong_kvis_interval_on_edge`` tries per host edge.
+HOST_EDGE_CANDIDATES = 24
+
+
 def strong_kvis_interval_on_edge(
-    host_edge: int,
-    region: Ring,
-    k: int,
-    scene: VisibilityQueryScene,
-    n_samples: int = 64,
+    host_edge: int, region: Ring, k: int, scene: VisibilityQueryScene
 ) -> list[EdgeInterval]:
     """Maximal parameter intervals on a scene edge whose sampled candidate
     positions all strongly k-see ``region``.
 
-    Candidates sit at (2j+1)/(2n); qualifying runs are widened outward by the
-    half-step so a fully qualifying edge reports [0, 1].  Returns [] when no
-    candidate qualifies (callers fall back to the pocket sweep)."""
+    Candidates sit at (2j+1)/(2n), n = ``HOST_EDGE_CANDIDATES``; qualifying
+    runs are widened outward by the half-step so a fully qualifying edge
+    reports [0, 1].  Returns [] when no candidate qualifies (callers fall
+    back to the pocket sweep)."""
+    n = HOST_EDGE_CANDIDATES
     edge = scene.obstacle_edges[host_edge]
-    half = Fraction(1, 2 * n_samples)
+    half = Fraction(1, 2 * n)
     qualifying = []
-    for j in range(n_samples):
-        t = Fraction(2 * j + 1, 2 * n_samples)
+    for j in range(n):
+        t = Fraction(2 * j + 1, 2 * n)
         pos = edge.point_at(t)
         if strongly_k_sees_region(pos, region, k, scene):
             qualifying.append(t)

@@ -26,6 +26,7 @@ from kvisguard.geometry import (
     orientation,
     point_in_polygon,
     point_in_polygon_i,
+    polygon_problems,
     pt,
     ring,
     ring_edges_i,
@@ -149,9 +150,10 @@ def test_point_in_polygon_i_agrees_with_point_in_polygon(square_with_hole, l_wit
         rings_i = [ring_edges_i(r, scale) for r in poly.rings()]
         seen = set()
         for p in probes:
-            want = point_in_polygon(p, poly)
+            want = classify_point(p, poly)
             got = point_in_polygon_i(int(p.x * scale), int(p.y * scale), rings_i)
             assert got == want, (p, got, want)
+            assert point_in_polygon(p, poly) == want, p
             seen.add(want)
         assert seen == {INSIDE, BOUNDARY, OUTSIDE}
         for hole in poly.holes:
@@ -223,6 +225,46 @@ def test_polygon_rejects_touching_hole():
     with pytest.raises(InvalidPolygonError) as exc:
         PolygonWithHoles(outer, [touching])
     assert "hole 0" in str(exc.value)
+
+
+def test_polygon_problems_on_eighth_lattice():
+    # Every vertex-in-ring check of polygon_problems, with rings whose
+    # coordinates need the scale 8.
+    def e(*coords):
+        return ring([(Fraction(x, 8), Fraction(y, 8)) for x, y in coords])
+
+    outer = e((0, 0), (80, 0), (80, 80), (0, 80))
+    cw = lambda r: r.reversed() if r.is_ccw() else r  # noqa: E731
+
+    # A hole vertex on the outer boundary (at x = 0, off every outer vertex).
+    on_outer = cw(e((0, 33), (9, 37), (9, 29)))
+    problems = polygon_problems(PolygonWithHoles(outer, [on_outer], validate=False))
+    assert problems == [
+        f"hole 0 vertex {vi} {tuple(v)} is not strictly inside the outer ring"
+        for vi, v in enumerate(on_outer.vertices)
+        if v.x == 0
+    ]
+
+    # An outer vertex touching a hole: the outer ring's reflex tip lies on
+    # a hole edge.
+    notched = e((0, 0), (80, 0), (80, 80), (41, 80), (41, 41), (39, 80), (0, 80))
+    under = cw(e((33, 41), (49, 41), (49, 17), (33, 17)))
+    problems = polygon_problems(PolygonWithHoles(notched, [under], validate=False))
+    assert problems == [f"outer vertex {tuple(pt(Fraction(41, 8), Fraction(41, 8)))} touches hole 0"]
+
+    # A hole inside another hole.
+    big = cw(e((9, 9), (71, 9), (71, 71), (9, 71)))
+    small = cw(e((33, 33), (47, 33), (47, 47), (33, 47)))
+    problems = polygon_problems(PolygonWithHoles(outer, [big, small], validate=False))
+    assert problems == ["holes 0 and 1 intersect or touch"]
+
+    # Valid: two disjoint holes strictly inside, one an eighth off the
+    # outer ring (at any coarser scale it would touch).
+    left = cw(e((1, 9), (31, 9), (31, 31), (1, 31)))
+    right = cw(e((41, 41), (71, 41), (71, 71), (41, 71)))
+    poly = PolygonWithHoles(outer, [left, right])
+    assert denominator_lcm(poly) == 8
+    assert polygon_problems(poly) == []
 
 
 def test_polygon_rejects_overlapping_holes():

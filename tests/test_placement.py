@@ -214,7 +214,7 @@ def test_place_guards_minimal_falls_back_on_holes(square_with_hole):
 
 
 def test_guard_convex_piece_two_real_two_diagonal():
-    # Piece with 2 real edges and 2 diagonals, m=4, prefer_real: the two
+    # Piece with 2 real edges and 2 diagonals, m=4: the two
     # midpoints are followed by second-parameter guards on the same real
     # edges, never on the diagonals.
     from kvisguard.decomposition import ConvexPiece, EdgeLabel
@@ -230,7 +230,7 @@ def test_guard_convex_piece_two_real_two_diagonal():
             EdgeLabel("diagonal", 1),
         ),
     )
-    guards = guard_convex_piece(piece, 4, prefer_real=True)
+    guards = guard_convex_piece(piece, 4)
     assert all(g.host_kind == REAL for g in guards)
     assert sorted(g.t for g in guards) == [
         Fraction(1, 3),

@@ -7,6 +7,7 @@ import pytest
 from kvisguard.geometry import Point, PolygonWithHoles, pt, ring
 from kvisguard.generators import GenSpec, comb_ring, generate
 from kvisguard.visibility import (
+    HOST_EDGE_CANDIDATES,
     DegenerateSightlineError,
     VisibilityQueryScene,
     crossing_count,
@@ -181,14 +182,14 @@ def test_strong_interval_full_edge(unit_square):
     scene = VisibilityQueryScene(unit_square)
     tri_a = ring([(0, 0), (1, 0), (1, 1)])
     # host edge 3 = (0,1)->(0,0), in piece B across the diagonal
-    ivs = strong_kvis_interval_on_edge(3, tri_a, 2, scene, n_samples=16)
+    ivs = strong_kvis_interval_on_edge(3, tri_a, 2, scene)
     assert ivs == [type(ivs[0])(3, Fraction(0), Fraction(1))]
 
 
 def test_strong_interval_own_region_any_k(unit_square):
     scene = VisibilityQueryScene(unit_square)
     tri_a = ring([(0, 0), (1, 0), (1, 1)])
-    ivs = strong_kvis_interval_on_edge(0, tri_a, 0, scene, n_samples=16)
+    ivs = strong_kvis_interval_on_edge(0, tri_a, 0, scene)
     assert len(ivs) == 1
     assert ivs[0].t_lo == 0 and ivs[0].t_hi == 1
 
@@ -198,7 +199,7 @@ def test_strong_interval_empty_for_deep_spiral():
     scene = VisibilityQueryScene(sp)
     # Innermost pocket region vs an edge on the far outside at k=0.
     inner = ring([(6, 3), (6, 5), (5, 5), (5, 3)])
-    ivs = strong_kvis_interval_on_edge(0, inner, 0, scene, n_samples=12)
+    ivs = strong_kvis_interval_on_edge(0, inner, 0, scene)
     assert ivs == []
 
 
@@ -208,11 +209,9 @@ def test_strong_interval_members_recheck(acceptance_corpus):
     name, poly = acceptance_corpus[3]  # comb3
     scene = VisibilityQueryScene(poly)
     region = ring([(2, 1), (3, 1), (3, 2), (2, 2)])  # middle tooth
-    n = 12
+    n = HOST_EDGE_CANDIDATES
     for edge_idx in (0, 1):
-        ivs = strong_kvis_interval_on_edge(
-            edge_idx, region, 2, scene, n_samples=n
-        )
+        ivs = strong_kvis_interval_on_edge(edge_idx, region, 2, scene)
         for iv in ivs:
             for j in range(n):
                 t = Fraction(2 * j + 1, 2 * n)
