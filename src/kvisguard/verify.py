@@ -2,10 +2,12 @@
 
 The oracle never looks at placement internals: it samples interior points
 (grid, seeded-uniform, and near-feature), counts k-visible guards per
-sample through one ``WedgeIndex`` per guard (exact, with the crossing
-kernel as its fallback), and reports the minimum coverage, a histogram, and
-every violation.  Degenerate sight lines are retried with a seeded jitter,
-then the sample is re-drawn.
+sample, and reports the minimum coverage, a histogram, and every
+violation.  Counting runs guard by guard over chunks of homogenized
+samples: each guard's ``WedgeIndex`` tallies the samples it sees through
+at most k crossings (exact, with the crossing kernel as its fallback).
+Degenerate sight lines are retried with a seeded jitter, then the sample
+is re-drawn.
 
 Grid and seeded candidates, here and in the lemma checks, are built and
 classified as integers by ``_LatticeSampler``; the near-feature probes of
@@ -46,6 +48,9 @@ from .visibility import (
 from .visibility import crossing_count_h  # noqa: F401
 
 _QUANTUM = 1 << 20  # sample coordinates snap to this lattice (exact rationals)
+# Samples homogenized and counted at a time by ``coverage``; bounds the
+# memory held in homogenized triples.
+_COVERAGE_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -224,19 +229,18 @@ def _threads() -> int:
         return 1
 
 
-def _count_visible(sample_h, indexes, k: int) -> int | None:
-    """Guards whose ``WedgeIndex`` counts at most k crossings to one
-    homogenized sample; None on degeneracy."""
-    try:
-        return sum(1 for index in indexes if index.count(sample_h) <= k)
-    except DegenerateSightlineError:
-        return None
+def _tally(samples_h, indexes, k: int) -> list[int | None]:
+    """Per homogenized sample, the guards whose ``WedgeIndex`` sees it
+    through at most k crossings; None on degeneracy."""
+    counts: list[int | None] = [0] * len(samples_h)
+    for index in indexes:
+        index.tally(samples_h, k, counts)
+    return counts
 
 
 def _coverage_chunk(args):
     samples_h, guards_h, edges_i, k = args
-    indexes = wedge_indexes(edges_i, guards_h)
-    return [_count_visible(s, indexes, k) for s in samples_h]
+    return _tally(samples_h, wedge_indexes(edges_i, guards_h), k)
 
 
 def coverage(
@@ -303,7 +307,10 @@ def coverage(
         except Exception as e:  # noqa: BLE001 - recorded in the report
             fallback = f"{type(e).__name__}: {e}"
     if counts is None:
-        counts = [_count_visible(scene.homogenize(s), indexes, k) for s in samples]
+        counts = []
+        for i in range(0, len(samples), _COVERAGE_CHUNK):
+            chunk = samples[i : i + _COVERAGE_CHUNK]
+            counts += _tally([scene.homogenize(s) for s in chunk], indexes, k)
 
     per_sample: list[tuple[Point, int]] = []
     dropped = 0
@@ -316,14 +323,14 @@ def coverage(
                 attempt = jittered(s, rng)
                 if point_in_polygon(attempt, poly) != INSIDE:
                     continue
-                c2 = _count_visible(scene.homogenize(attempt), indexes, k)
+                c2 = _tally([scene.homogenize(attempt)], indexes, k)[0]
                 if c2 is not None:
                     fixed = (attempt, c2)
                     break
             if fixed is None:
                 repl = redraw()
                 if repl is not None:
-                    c3 = _count_visible(scene.homogenize(repl), indexes, k)
+                    c3 = _tally([scene.homogenize(repl)], indexes, k)[0]
                     if c3 is not None:
                         fixed = (repl, c3)
             if fixed is None:

@@ -16,17 +16,20 @@ endpoints relative to the origin p, so a query from p to q only forms the
 two orientations that involve q.
 
 Many queries from one point go through its ``WedgeIndex``: the scene sorted
-by angle around the point, so a count is two bisections on ints, with the
-kernel as the exact fallback for every query the index cannot decide
-strictly.  Strong visibility of a region is decided on the same index,
-wedge by wedge, by clipping the region with half-planes on ints.
+by angle around the point.  Whether a point is seen through at most k
+crossings is one bisection over the rays plus one orientation test against
+the wedge's (k+1)-th edge, on ints, with the kernel as the exact fallback
+for every query the index cannot decide strictly; a full count bisects the
+wedge's edges instead.  Strong visibility of a region is decided on the
+same index, wedge by wedge, by clipping the region with half-planes on
+ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
 from .geometry import (
@@ -63,10 +66,6 @@ class EdgeInterval(NamedTuple):
         return self.t_lo <= t <= self.t_hi
 
 
-def _denominator(c) -> int:
-    return c.denominator if isinstance(c, Fraction) else 1
-
-
 class VisibilityQueryScene:
     """A polygon plus its flat obstacle-edge list, indexed stably (outer
     edges first, then each hole's edges in order)."""
@@ -82,12 +81,17 @@ class VisibilityQueryScene:
         self._index: WedgeIndex | None = None
 
     def homogenize(self, p: Point) -> tuple[int, int, int]:
-        """Integer (nx, ny, d) with p*scale == (nx/d, ny/d)."""
-        sx = p.x * self.scale
-        sy = p.y * self.scale
-        dx, dy = _denominator(sx), _denominator(sy)
-        d = lcm(dx, dy)
-        return int(sx * d), int(sy * d), d
+        """Integer (nx, ny, d) with p*scale == (nx/d, ny/d), d the least
+        common denominator of the two reduced coordinates of p*scale."""
+        s, x, y = self.scale, p.x, p.y
+        # x = n/den in lowest terms, so x*s reduces to n*(s/g) / (den/g),
+        # g = gcd(s, den).
+        g = gcd(s, x.denominator)
+        xn, xd = x.numerator * (s // g), x.denominator // g
+        g = gcd(s, y.denominator)
+        yn, yd = y.numerator * (s // g), y.denominator // g
+        d = lcm(xd, yd)
+        return xn * (d // xd), yn * (d // yd), d
 
     def wedge_index(self, p: Point) -> WedgeIndex:
         """p's ``WedgeIndex``.  Only the last one built is kept, so a run of
@@ -263,15 +267,17 @@ class WedgeIndex:
     exactly the edges it lies strictly right of, a prefix of the list.
     Edges incident to g, seen edge-on or holding g are left out.
 
-    ``count`` finds q's wedge and its prefix by two bisections.  A query
-    the index cannot decide strictly (q equal to g, q on a ray, q on the
-    line of a probed edge) goes to ``crossing_count_h`` from g's side;
-    the open segment's count and degeneracy are symmetric in its
-    endpoints, so the answer, or the ``DegenerateSightlineError``, is the
-    kernel's.  Only small ids are kept per guard: ray vertex ids and
-    per-wedge edge codes (``WedgeScene``)."""
+    ``dirs[w]`` is ray w as a vector from g, scaled by g's denominator.
+    ``count`` finds q's wedge and its prefix by two bisections; ``tally``
+    finds the wedge by one and decides "at most k crossings" by one test
+    against the wedge's (k+1)-th edge.  A query the index cannot decide
+    strictly (q equal to g, q on a ray, q on the line of a probed edge)
+    goes to ``crossing_count_h`` from g's side; the open segment's count
+    and degeneracy are symmetric in its endpoints, so the answer, or the
+    ``DegenerateSightlineError``, is the kernel's.  Per wedge only small
+    edge codes (``WedgeScene``) are kept."""
 
-    __slots__ = ("scene", "g_h", "rays", "split", "wedges", "_table")
+    __slots__ = ("scene", "g_h", "dirs", "split", "wedges", "_table")
 
     def __init__(self, scene: WedgeScene, g_h: tuple[int, int, int]):
         self.scene = scene
@@ -336,7 +342,7 @@ class WedgeIndex:
                 den = {c: dx * lines[c][1] - dy * lines[c][0] for c in codes}
                 codes.sort(key=cmp_to_key(lambda c1, c2: key[c1] * den[c2] - key[c2] * den[c1]))
             wedges.append(_small_ints(codes))
-        self.rays = _small_ints(rays)
+        self.dirs = [rel[v] for v in rays]
         self.wedges = wedges
 
     def count(self, q_h: tuple[int, int, int]) -> int:
@@ -348,14 +354,14 @@ class WedgeIndex:
         if uy > 0 or (uy == 0 and ux > 0):
             lo, hi = 0, self.split
         elif ux or uy:
-            lo, hi = self.split, len(self.rays)
+            lo, hi = self.split, len(self.dirs)
         else:
             return self._fallback(q_h)
-        vertices, rays = self.scene.vertices, self.rays
+        dirs = self.dirs
         while lo < hi:
             mid = (lo + hi) >> 1
-            vx, vy = vertices[rays[mid]]
-            o = (vx * gd - gx) * uy - (vy * gd - gy) * ux
+            dx, dy = dirs[mid]
+            o = dx * uy - dy * ux
             if o > 0:
                 lo = mid + 1
             elif o < 0:
@@ -377,6 +383,58 @@ class WedgeIndex:
                 return self._fallback(q_h)
         # When lo < len(wedge), edge lo was probed and q is strictly before it.
         return lo
+
+    def tally(self, samples_h: Sequence[tuple[int, int, int]], k: int, counts: list) -> None:
+        """For each sample i with ``counts[i]`` not None: add 1 when g sees
+        it through at most k crossings, or set None when the sight line is
+        degenerate.  An entry already None is skipped, so a degenerate
+        sample is never queried by a later guard.
+
+        In q's wedge, q crosses at most k edges iff the wedge lists at most
+        k, or q is strictly before the (k+1)-th; on that edge's line, as on
+        a ray, the kernel decides."""
+        gx, gy, gd = self.g_h
+        dirs, split, n_rays = self.dirs, self.split, len(self.dirs)
+        wedges, lines = self.wedges, self.scene.lines
+        for i, (qx, qy, qd) in enumerate(samples_h):
+            c = counts[i]
+            if c is None:
+                continue
+            ux = qx * gd - gx * qd
+            uy = qy * gd - gy * qd
+            if uy > 0 or (uy == 0 and ux > 0):
+                lo, hi = 0, split
+            elif ux or uy:
+                lo, hi = split, n_rays
+            else:
+                lo = hi = -1  # q == g
+            while lo < hi:
+                mid = (lo + hi) >> 1
+                dx, dy = dirs[mid]
+                o = dx * uy - dy * ux
+                if o > 0:
+                    lo = mid + 1
+                elif o < 0:
+                    hi = mid
+                else:
+                    lo = hi = -1  # q on ray mid
+            if lo >= 0:
+                wedge = wedges[lo - 1]
+                if len(wedge) <= k:
+                    counts[i] = c + 1
+                    continue
+                ex, ey, e = lines[wedge[k]]
+                o = ex * qy - ey * qx - e * qd
+                if o > 0:
+                    counts[i] = c + 1
+                    continue
+                if o < 0:
+                    continue
+            try:
+                if self._fallback(samples_h[i]) <= k:
+                    counts[i] = c + 1
+            except DegenerateSightlineError:
+                counts[i] = None
 
     def _fallback(self, q_h: tuple[int, int, int]) -> int:
         if self._table is None:
@@ -443,15 +501,14 @@ def strongly_k_sees_region(p: Point, region: Ring, k: int, scene: VisibilityQuer
     area.  Decided on ints, with the region's homogenized vertices."""
     index = scene.wedge_index(p)
     gx, gy, gd = index.g_h
-    vertices, lines, rays = index.scene.vertices, index.scene.lines, index.rays
+    lines, dirs = index.scene.lines, index.dirs
     region_h = [scene.homogenize(v) for v in region.vertices]
     for w, codes in enumerate(index.wedges):
         if len(codes) <= k:
             continue
         # Rays w and w+1, relative to p and scaled by gd.
-        ax, ay = vertices[rays[w]]
-        bx, by = vertices[rays[(w + 1) % len(rays)]]
-        ax, ay, bx, by = ax * gd - gx, ay * gd - gy, bx * gd - gx, by * gd - gy
+        ax, ay = dirs[w]
+        bx, by = dirs[(w + 1) % len(dirs)]
         ex, ey, c = lines[codes[k]]
         # (a, b, c) holds a homogenized q when a*qx + b*qy + c*qd > 0: q is
         # past ray w, before ray w+1, and beyond edge k.  A spanned wedge is

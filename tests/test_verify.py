@@ -484,3 +484,53 @@ def test_coverage_process_pool_fallback_is_reported(monkeypatch, l_hexagon):
     assert fell_back.per_sample == seq.per_sample
     assert '"parallel_fallback":"OSError: no worker processes"' in write_report(fell_back)
     assert "parallel_fallback" not in write_report(seq)
+
+
+def test_coverage_chunk_boundary(square_with_hole):
+    # 1,536 grid samples, so coverage counts them in two chunks.  The sight
+    # line from the guard at (0, 0) to a diagonal sample (t, t), t > 6,
+    # passes through the hole corner (4, 4): those samples are degenerate,
+    # some past the first chunk, and are jittered.  Every count must match
+    # a sample-by-sample reference with WedgeIndex.count that stops at a
+    # sample's first degenerate guard.
+    from kvisguard.verify import _COVERAGE_CHUNK
+    from kvisguard.visibility import DegenerateSightlineError, VisibilityQueryScene, wedge_indexes
+
+    k = 2
+    positions = [pt(10, 5), pt(0, 0), pt(5, 10), pt(0, "8/3")]
+    gs = GuardSet(
+        guards=tuple(Guard(position=p, host_kind="real", host_index=0, t=Fraction(0), k=k) for p in positions),
+        k=k,
+        target_m=2,
+    )
+    plan = SamplePlan(grid_density=40, random_count=0, near_feature_count=0, seed=0)
+    samples = sample_points(square_with_hole, plan)
+    assert len(samples) > _COVERAGE_CHUNK
+    scene = VisibilityQueryScene(square_with_hole)
+    indexes = wedge_indexes(scene._edges_i, [scene.homogenize(p) for p in positions])
+
+    def reference(p):
+        total = 0
+        for index in indexes:
+            try:
+                total += index.count(scene.homogenize(p)) <= k
+            except DegenerateSightlineError:
+                return None
+        return total
+
+    want = [reference(s) for s in samples]
+    degenerate = [i for i, c in enumerate(want) if c is None]
+    assert degenerate and degenerate[-1] >= _COVERAGE_CHUNK
+    report = coverage(square_with_hole, gs, plan)
+    assert report.degenerate_dropped == 0
+    assert len(report.per_sample) == len(samples)
+    histogram = {}
+    for s, c, (p, got) in zip(samples, want, report.per_sample):
+        if c is None:
+            assert p != s and point_in_polygon(p, square_with_hole) == INSIDE
+            c = reference(p)
+        else:
+            assert p == s
+        assert got == c, (s, p)
+        histogram[c] = histogram.get(c, 0) + 1
+    assert report.histogram == dict(sorted(histogram.items()))

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from functools import cmp_to_key
@@ -318,24 +319,12 @@ def _query_outcome(fn, *args):
         return ValueError
 
 
-def test_wedge_index_matches_kernel(acceptance_corpus, square_with_hole, l_with_star_hole, monkeypatch):
-    # Guards at every vertex, edge midpoint and edge quarter-point; queries
-    # at those points and on a half-unit interior grid.  The index must
-    # give the kernel's count, or its exception and edge_index, and its
-    # fallback must reach the module's kernel.
-    import kvisguard.visibility as vis
+def _wedge_cases(polys):
+    """Per polygon: its scene, guards at every vertex, edge midpoint and edge
+    quarter-point, and queries at those points and on a half-unit interior
+    grid, the last two homogenized."""
     from kvisguard.geometry import INSIDE, point_in_polygon
 
-    kernel = vis.crossing_count_h
-    fallbacks = []
-
-    def recording(p_h, q_h, table):
-        fallbacks.append((p_h, q_h))
-        return kernel(p_h, q_h, table)
-
-    monkeypatch.setattr(vis, "crossing_count_h", recording)
-    polys = [dict(acceptance_corpus)["comb3"], square_with_hole, l_with_star_hole]
-    seen = {"vertex_ray": 0, "on_edge": 0, "raise": 0}
     for poly in polys:
         guards = []
         for e in poly.edges():
@@ -351,9 +340,50 @@ def test_wedge_index_matches_kernel(acceptance_corpus, square_with_hole, l_with_
         ]
         queries = guards + [q for q in grid if point_in_polygon(q, poly) == INSIDE]
         scene = VisibilityQueryScene(poly)
+        yield scene, [scene.homogenize(g) for g in guards], [scene.homogenize(q) for q in queries]
+
+
+def _on_ray(vertices, g_h, q_h) -> bool:
+    """q lies on a ray from g through a scene vertex."""
+    gx, gy, gd = g_h
+    qx, qy, qd = q_h
+    ux, uy = qx * gd - gx * qd, qy * gd - gy * qd
+    return any(
+        (vx * gd - gx) * uy == (vy * gd - gy) * ux
+        and (vx * gd - gx) * ux + (vy * gd - gy) * uy > 0
+        for vx, vy in vertices
+    )
+
+
+def _recording_kernel(monkeypatch):
+    """Route ``visibility.crossing_count_h`` through a recorder; returns the
+    list of (p_h, q_h) it was called with."""
+    import kvisguard.visibility as vis
+
+    kernel = vis.crossing_count_h
+    calls = []
+
+    def recording(p_h, q_h, table):
+        calls.append((p_h, q_h))
+        return kernel(p_h, q_h, table)
+
+    monkeypatch.setattr(vis, "crossing_count_h", recording)
+    return calls
+
+
+def test_wedge_index_matches_kernel(acceptance_corpus, square_with_hole, l_with_star_hole, monkeypatch):
+    # Guards at every vertex, edge midpoint and edge quarter-point; queries
+    # at those points and on a half-unit interior grid.  The index must
+    # give the kernel's count, or its exception and edge_index, and its
+    # fallback must reach the module's kernel.
+    import kvisguard.visibility as vis
+
+    kernel = vis.crossing_count_h
+    fallbacks = _recording_kernel(monkeypatch)
+    polys = [dict(acceptance_corpus)["comb3"], square_with_hole, l_with_star_hole]
+    seen = {"vertex_ray": 0, "on_edge": 0, "raise": 0}
+    for scene, gs_h, qs_h in _wedge_cases(polys):
         vertices = vis.WedgeScene(scene._edges_i).vertices
-        gs_h = [scene.homogenize(g) for g in guards]
-        qs_h = [scene.homogenize(q) for q in queries]
         for g_h, index in zip(gs_h, vis.wedge_indexes(scene._edges_i, gs_h)):
             table = vis.origin_table(g_h, scene._edges_i)
             for q_h in qs_h:
@@ -366,16 +396,94 @@ def test_wedge_index_matches_kernel(acceptance_corpus, square_with_hole, l_with_
                 if not fallbacks:
                     continue
                 assert fallbacks == [(g_h, q_h)]
-                gx, gy, gd = g_h
-                qx, qy, qd = q_h
-                ux, uy = qx * gd - gx * qd, qy * gd - gy * qd
-                on_ray = any(
-                    (vx * gd - gx) * uy == (vy * gd - gy) * ux
-                    and (vx * gd - gx) * ux + (vy * gd - gy) * uy > 0
-                    for vx, vy in vertices
-                )
-                seen["vertex_ray" if on_ray else "on_edge"] += 1
+                seen["vertex_ray" if _on_ray(vertices, g_h, q_h) else "on_edge"] += 1
     assert all(v > 0 for v in seen.values()), seen
+
+
+def test_wedge_tally_matches_count(acceptance_corpus, square_with_hole, l_with_star_hole, monkeypatch):
+    # On the queries of test_wedge_index_matches_kernel, for k = 0..4: one
+    # guard's tally gives count(q) <= k, None exactly where count raises,
+    # and reaches the kernel only on pairs where count does.  Tallying all
+    # guards in turn into one list matches counting each sample until its
+    # first degenerate guard, and queries nothing past that guard.
+    import kvisguard.visibility as vis
+
+    calls = _recording_kernel(monkeypatch)
+    polys = [dict(acceptance_corpus)["comb3"], square_with_hole, l_with_star_hole]
+    seen = {"seen": 0, "unseen": 0, "raise": 0, "vertex_ray": 0, "on_edge": 0}
+    for scene, gs_h, qs_h in _wedge_cases(polys):
+        vertices = vis.WedgeScene(scene._edges_i).vertices
+        indexes = vis.wedge_indexes(scene._edges_i, gs_h)
+        counted, count_calls = [], set()
+        for index in indexes:
+            row = {}
+            for q_h in qs_h:
+                if q_h != index.g_h:
+                    del calls[:]
+                    row[q_h] = _query_outcome(index.count, q_h)
+                    count_calls.update(calls)
+            counted.append(row)
+        free = [q_h for q_h in qs_h if q_h not in gs_h]
+        for k in range(5):
+            for index, row in zip(indexes, counted):
+                qs = list(row)
+                want = [None if isinstance(o, tuple) else int(o <= k) for o in row.values()]
+                got = [0] * len(qs)
+                del calls[:]
+                index.tally(qs, k, got)
+                assert got == want, (index.g_h, k)
+                assert set(calls) <= count_calls
+                for _, q_h in calls:
+                    seen["vertex_ray" if _on_ray(vertices, index.g_h, q_h) else "on_edge"] += 1
+                seen["seen"] += want.count(1)
+                seen["unseen"] += want.count(0)
+                seen["raise"] += want.count(None)
+            want, reached = [], set()
+            for q_h in free:
+                total = 0
+                for index, row in zip(indexes, counted):
+                    if (index.g_h, q_h) in count_calls:
+                        reached.add((index.g_h, q_h))
+                    o = row[q_h]
+                    if isinstance(o, tuple):
+                        total = None
+                        break
+                    total += o <= k
+                want.append(total)
+            got = [0] * len(free)
+            del calls[:]
+            for index in indexes:
+                index.tally(free, k, got)
+            assert got == want, k
+            assert set(calls) <= reached
+    assert all(v > 0 for v in seen.values()), seen
+
+
+def test_homogenize_matches_fraction_formula():
+    # The triple is the wedge-index cache key and feeds every sign, so it
+    # must equal the Fraction formula's exactly, not just in ratio.
+    def reference(p, scale):
+        sx, sy = Fraction(p.x) * scale, Fraction(p.y) * scale
+        d = math.lcm(sx.denominator, sy.denominator)
+        return int(sx * d), int(sy * d), d
+
+    scene = VisibilityQueryScene(
+        PolygonWithHoles(ring([(0, 0), (Fraction(7, 2), 0), (3, Fraction(10, 3)), (0, 4)]))
+    )
+    assert scene.scale == 6
+    points = [
+        pt(3, -7),  # ints
+        pt(Fraction(1, 4), Fraction(5, 9)),  # unequal denominators, gcd 2 and 3
+        pt(Fraction(-5, 3), Fraction(1, 3)),  # den divides the scale
+        pt(Fraction(1, 12), Fraction(-7, 12)),  # equal denominators
+        pt(Fraction(-3, 8), Fraction(-5, 27)),  # negative, unequal
+        pt(2, Fraction(-11, 7)),  # one int, gcd 1
+        pt(Fraction(13, 10), Fraction(-13, 10)),
+    ]
+    for p in points:
+        got = scene.homogenize(p)
+        assert got == reference(p, scene.scale), p
+        assert all(type(c) is int for c in got), p
 
 
 def _cross(u, v):
